@@ -13,8 +13,7 @@ from .mesh import (Mesh, Vertex, Triangle, Edge, MeshFormatError,
                    bisect_triangle, refine_edges, uniform_refine, mesh_stats)
 from .sources import FunctionSource, P0Source, as_source
 from .fespace import (RTSpace, P0Space, P1Space, DofVector, eval_rt, div_rt,
-                      rot_rt, l2_project, interpolate_rt, prolongate,
-                      curl_p1, grad_h)
+                      l2_project, interpolate_rt, prolongate, curl_p1, grad_h)
 from .assembly import (ProblemSpec, SaddleSystem, MixedSolution, SolverError,
                        assemble, solve, solve_poisson, error_sigma)
 from .estimator import (EstimatorReport, jump, eta_edge, eta_total,

@@ -204,14 +204,15 @@ def _combinatorial_check(coarse, fine):
     """Edges of the coarse mesh that are gone in the fine one; their count
     is bounded by 3x the triangle increase (a property of bisection that
     the discrete upper bound relies on)."""
-    fine_pairs = set(map(tuple, fine.edge_verts.tolist()))
-    gone = [i for i, pair in enumerate(map(tuple, coarse.edge_verts.tolist()))
-            if pair not in fine_pairs]
+    nv = fine.nv
+    coarse_keys = coarse.edge_verts[:, 0] * nv + coarse.edge_verts[:, 1]
+    fine_keys = fine.edge_verts[:, 0] * nv + fine.edge_verts[:, 1]
+    gone = np.flatnonzero(~np.isin(coarse_keys, fine_keys, assume_unique=True))
     bound = 3 * (fine.nt - coarse.nt)
     if len(gone) > bound:
         raise AssertionError("%d edges vanished but only %d triangles were "
                              "created" % (len(gone), fine.nt - coarse.nt))
-    return np.array(gone, dtype=np.int64)
+    return gone
 
 
 def _coarse_osc2(src, fine, coarse):

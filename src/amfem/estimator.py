@@ -2,14 +2,14 @@
 
 Each edge E carries
 
-    eta_E^2 = sum_{T in patch(E)} h_T^2 |rot sigma|_{0,T}^2
-              + h_E * integral_E J_E^2 ds
+    eta_E^2 = h_E * integral_E J_E^2 ds
 
 where J_E is the tangential jump of the flux across E, left triangle minus
-right (on the boundary just the trace).  Flux fields here are affine per
-triangle, so the rotation term vanishes identically; it is assembled anyway
-so the indicator stays structurally complete for richer flux spaces.  The
-data oscillation per triangle is h_T^2 * |f - mean(f)|_{0,T}^2.
+right (on the boundary just the trace).  The elementwise rotation term
+h_T^2 |rot sigma|_{0,T}^2 of the general indicator is left out: flux
+fields here are of the form a + c*x on each triangle, so their rotation
+vanishes identically.  The data oscillation per triangle is
+h_T^2 * |f - mean(f)|_{0,T}^2.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import quadrature
 from .assembly import MixedSolution
-from .fespace import DofVector, RTSpace, rot_rt, rt_affine
+from .fespace import DofVector, RTSpace, rt_affine
 from .mesh import Mesh
 from .sources import as_source
 
@@ -65,33 +65,24 @@ def edge_jumps(sigma: DofVector):
     return _jumps_from_affine(sigma.mesh, a0, c)
 
 
-def _eta2_from_affine(mesh, a0, c, rot):
+def _eta2_from_affine(mesh, a0, c):
     ja, jb = _jumps_from_affine(mesh, a0, c)
     g, w = quadrature.edge_rule()
     jump2 = np.zeros(mesh.ne)
     for gi, wi in zip(g, w):
         jump2 += wi * (ja + gi * (jb - ja)) ** 2
-    eta2 = mesh.edge_len * (mesh.edge_len * jump2)
-    if np.any(rot):
-        rot_t = mesh.tri_h ** 2 * rot ** 2 * mesh.tri_area
-        for side in (0, 1):
-            tri = mesh.edge_tri[:, side]
-            has = tri >= 0
-            eta2[has] += rot_t[mesh.live_pos[tri[has]]]
-    return eta2
+    return mesh.edge_len * (mesh.edge_len * jump2)
 
 
 def indicator_edges(sigma: DofVector):
     """Squared edge indicator of a flux field, indexed by edge id."""
-    space = RTSpace(sigma.mesh)
-    a0, c = rt_affine(space, sigma.values)
-    return _eta2_from_affine(sigma.mesh, a0, c, rot_rt(space, sigma))
+    a0, c = rt_affine(RTSpace(sigma.mesh), sigma.values)
+    return _eta2_from_affine(sigma.mesh, a0, c)
 
 
 def _eta2_of(sol: MixedSolution):
     a0, c = sol.affine()
-    rot = rot_rt(RTSpace(sol.mesh), sol.sigma)
-    return _eta2_from_affine(sol.mesh, a0, c, rot)
+    return _eta2_from_affine(sol.mesh, a0, c)
 
 
 def _eid(edge):

@@ -25,7 +25,7 @@ from .mesh import Mesh, ancestor_map
 from .sources import as_source
 
 __all__ = ["RTSpace", "P0Space", "P1Space", "DofVector",
-           "eval_rt", "div_rt", "rot_rt", "l2_project", "interpolate_rt",
+           "eval_rt", "div_rt", "l2_project", "interpolate_rt",
            "prolongate", "curl_p1", "grad_h",
            "rt_mass_matrix", "div_matrix", "dof_to_text", "dof_from_text"]
 
@@ -141,17 +141,6 @@ def div_rt(space, dof, t=None):
     if pos < 0:
         raise ValueError("triangle %d is not live" % t)
     return float(div[pos])
-
-
-def rot_rt(space, dof, t=None):
-    """Rotation of the flux field.  Fields of the form a + c*x have zero
-    rotation identically, so this returns exact zeros; kept as an operation
-    because the edge estimator assembles it alongside the jump term."""
-    if t is None:
-        return np.zeros(space.mesh.nt)
-    if space.mesh.live_pos[t] < 0:
-        raise ValueError("triangle %d is not live" % t)
-    return 0.0
 
 
 # -- interpolation and projection ------------------------------------------

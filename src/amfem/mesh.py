@@ -7,6 +7,22 @@ spaces).  Refinement never mutates a mesh in place; every operation builds
 and returns a new mesh value, so callers can hold on to the whole mesh
 hierarchy of an adaptive run.
 
+Refinement is newest-vertex bisection driven by edges: ``refine_edges``,
+``uniform_refine`` and ``bisect_triangle`` all flag edges of the input mesh,
+close the flag set (a triangle with a flagged edge flags its refinement
+edge, until nothing changes) and then bisect each triangle with a flagged
+edge once, twice or three times in one vectorized pass.
+
+Numbering.  The genealogy is append-only: the input mesh's vertices and
+triangle rows keep their ids and are a prefix of the refined mesh's.  New
+vertices are the midpoints of the split edges, numbered from ``nv`` in
+ascending input edge id.  New rows come two per bisection, level by level:
+first the children of the bisected input triangles in ascending id order,
+then the children of those children that split again, in id order.  Edge
+ids are recomputed for every mesh, in lexicographic (min vid, max vid)
+order.  Ids beyond those of the input mesh are not stable across versions
+of amfem; compare meshes from different versions by vertex coordinates.
+
 Text format for interchange::
 
     amfemmesh 1
@@ -106,6 +122,10 @@ class Mesh:
         self.alive = np.asarray(alive, dtype=bool)
         self._root = root if root is not None else object()
         self._caches = {}
+        finite = np.isfinite(self.points).all(axis=1)
+        if not finite.all():
+            raise MeshFormatError("vertex %d has a non-finite coordinate"
+                                  % int(np.argmin(finite)))
         self._build_tables()
         area = float(self.tri_area.sum())
         if domain_area is None:
@@ -140,11 +160,10 @@ class Mesh:
         # (v[i+1], v[i+2]) by the counterclockwise boundary walk
         ea = tv[:, [1, 2, 0]].ravel()
         eb = tv[:, [2, 0, 1]].ravel()
-        lo = np.minimum(ea, eb)
-        hi = np.maximum(ea, eb)
-        pairs = np.stack([lo, hi], axis=1)
-        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
+        nv = len(self.points)
+        key = np.minimum(ea, eb) * nv + np.maximum(ea, eb)
+        ukey, inverse = np.unique(key, return_inverse=True)
+        uniq = np.column_stack([ukey // nv, ukey % nv])
         self.edge_verts = uniq
         self.tri_edge = inverse.reshape(-1, 3)
         sign = np.where(ea < eb, 1, -1).astype(np.int8)
@@ -155,7 +174,7 @@ class Mesh:
         owner = np.repeat(live, 3)
         for side, mask in ((0, sign > 0), (1, sign < 0)):
             eids = inverse[mask]
-            if len(np.unique(eids)) != len(eids):
+            if np.bincount(eids, minlength=ne).max() > 1:
                 raise MeshFormatError(
                     "non-conforming mesh: an edge is traversed twice in the "
                     "same direction (duplicate or misoriented triangle)")
@@ -169,14 +188,13 @@ class Mesh:
         lens = self.edge_len[self.tri_edge]
         self.tri_h = lens.max(axis=1)
 
-        used = np.unique(tv)
-        if used.size != len(self.points) or used[0] != 0:
+        if np.bincount(tv.ravel(), minlength=nv).min() == 0:
             raise MeshFormatError("mesh has vertices not used by any live triangle")
-        if ne != len(self.points) + live.size - 1:
+        if ne != nv + live.size - 1:
             raise MeshFormatError(
                 "non-conforming or multiply connected mesh: "
                 "ne=%d, nv=%d, nt=%d violate ne = nv + nt - 1"
-                % (ne, len(self.points), live.size))
+                % (ne, nv, live.size))
 
     # -- public counters and object views --------------------------------
 
@@ -303,6 +321,8 @@ def load_mesh(text):
             points[i] = (float(parts[0]), float(parts[1]))
         except ValueError:
             fail(lineno, "bad coordinate in %r" % line)
+        if not np.isfinite(points[i]).all():
+            fail(lineno, "non-finite coordinate in %r" % line)
 
     tv = np.empty((nt, 3), dtype=np.int64)
     refedge = np.full(nt, -1, dtype=np.int64)
@@ -380,113 +400,76 @@ def initial_labeling(mesh):
 
 # -- refinement -----------------------------------------------------------
 
-class _Builder:
-    """Mutable scratch copy of a mesh used inside refinement operations."""
+def _refine(mesh, marked):
+    """Newest-vertex bisection splitting every live edge flagged in the
+    boolean array ``marked`` (indexed by edge id; extended in place by the
+    closure).  Returns ``(mesh, bisected)`` with the bisected row ids in
+    ascending order."""
+    live = mesh.live
+    ref = mesh.tri_edge[np.arange(live.size), mesh.tri_refedge[live]]
+    # closure: a triangle with a split edge must split its refinement edge
+    front = np.flatnonzero(marked)
+    while front.size:
+        tris = mesh.edge_tri[front].ravel()
+        cand = ref[mesh.live_pos[tris[tris >= 0]]]
+        front = cand[~marked[cand]]
+        marked[front] = True
 
-    __slots__ = ("points", "tv", "refedge", "gen", "parent", "children",
-                 "alive", "e2t", "bisected", "nlive")
+    split = np.flatnonzero(marked)
+    mid = np.full(mesh.ne, -1, dtype=np.int64)
+    mid[split] = mesh.nv + np.arange(split.size)
+    ev = mesh.edge_verts[split]
+    points = np.concatenate(
+        [mesh.points, 0.5 * (mesh.points[ev[:, 0]] + mesh.points[ev[:, 1]])])
 
-    def __init__(self, mesh):
-        self.points = mesh.points.tolist()
-        self.tv = mesh.tri_verts.tolist()
-        self.refedge = mesh.tri_refedge.tolist()
-        self.gen = mesh.tri_gen.tolist()
-        self.parent = mesh.tri_parent.tolist()
-        self.children = mesh.tri_children.tolist()
-        self.alive = mesh.alive.tolist()
-        self.bisected = []
-        self.nlive = int(mesh.live.size)
-        e2t = {}
-        for t in mesh.live:
-            t = int(t)
-            for pair in self._tri_pairs(t):
-                e2t.setdefault(pair, []).append(t)
-        self.e2t = e2t
+    # One level per pass: the triangles whose refinement edge is split are
+    # bisected and their children appended in parent order.  A child's
+    # refinement edge is the one full edge it inherits from its parent
+    # (the edge opposite the new midpoint); its other two edges are new and
+    # never split, so a mesh triangle is bisected at most three times and
+    # the loop ends after three passes.
+    n0 = n = len(mesh.tri_verts)
+    rows, verts, r = live, mesh.tri_verts[live], mesh.tri_refedge[live]
+    edges, gen = mesh.tri_edge, mesh.tri_gen[live]
+    parts = []
+    while True:
+        k = np.arange(rows.size)
+        e = edges[k, r]
+        go = (e >= 0) & marked[e]           # marked[-1] is masked out
+        if not go.any():
+            break
+        rows, verts, r, edges, gen, e = (
+            rows[go], verts[go], r[go], edges[go], gen[go], e[go])
+        k = np.arange(rows.size)
+        va, vb, vc = verts[k, r], verts[k, (r + 1) % 3], verts[k, (r + 2) % 3]
+        eb, ec = edges[k, (r + 1) % 3], edges[k, (r + 2) % 3]
+        m = mid[e]
+        none = np.full(rows.size, -1, dtype=np.int64)
+        # children (va, vb, m) and (va, m, vc), one row each; they keep the
+        # parent edges (va, vb) = ec and (vc, va) = eb opposite m
+        verts = np.stack([va, vb, m, va, m, vc], axis=1).reshape(-1, 3)
+        edges = np.stack([none, none, ec, none, eb, none],
+                         axis=1).reshape(-1, 3)
+        r = np.tile(np.array([2, 1], dtype=np.int64), rows.size)
+        gen = np.repeat(gen + 1, 2)
+        parts.append((rows, verts, r, gen, np.repeat(rows, 2)))
+        rows = n + np.arange(verts.shape[0])
+        n += verts.shape[0]
 
-    def _tri_pairs(self, t):
-        v = self.tv[t]
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            a, b = v[i], v[j]
-            yield (a, b) if a < b else (b, a)
-
-    def refedge_pair(self, t):
-        v = self.tv[t]
-        r = self.refedge[t]
-        a, b = v[(r + 1) % 3], v[(r + 2) % 3]
-        return (a, b) if a < b else (b, a)
-
-    def _neighbor(self, t, pair):
-        for other in self.e2t.get(pair, ()):
-            if other != t:
-                return other
-        return None
-
-    def _split(self, t, m):
-        """Bisect t across its refinement edge at existing vertex m."""
-        for pair in self._tri_pairs(t):
-            lst = self.e2t[pair]
-            lst.remove(t)
-            if not lst:
-                del self.e2t[pair]
-        v = self.tv[t]
-        r = self.refedge[t]
-        va, vb, vc = v[r], v[(r + 1) % 3], v[(r + 2) % 3]
-        self.alive[t] = False
-        gen = self.gen[t] + 1
-        kids = []
-        # children keep counterclockwise order; the newest vertex m is the
-        # local vertex opposite the child's refinement edge, which is the
-        # child's single full edge of the parent
-        for verts, redge in (((va, vb, m), 2), ((va, m, vc), 1)):
-            c = len(self.tv)
-            self.tv.append(list(verts))
-            self.refedge.append(redge)
-            self.gen.append(gen)
-            self.parent.append(t)
-            self.children.append([-1, -1])
-            self.alive.append(True)
-            for i, j in ((0, 1), (1, 2), (2, 0)):
-                a, b = verts[i], verts[j]
-                pair = (a, b) if a < b else (b, a)
-                self.e2t.setdefault(pair, []).append(c)
-            kids.append(c)
-        self.children[t] = kids
-        self.bisected.append(t)
-        self.nlive += 1
-        return kids
-
-    def bisect(self, t0):
-        """Conforming bisection: the neighbor across the refinement edge is
-        made compatible first (bisecting it recursively if needed), then the
-        pair splits simultaneously through the shared midpoint."""
-        stack = [t0]
-        while stack:
-            t = stack[-1]
-            if not self.alive[t]:
-                stack.pop()
-                continue
-            pair = self.refedge_pair(t)
-            nb = self._neighbor(t, pair)
-            if nb is not None and self.refedge_pair(nb) != pair:
-                if len(stack) > self.nlive + 1:
-                    raise AssertionError(
-                        "newest-vertex bisection recursion exceeded the live "
-                        "triangle count; incompatible refinement-edge labels")
-                stack.append(nb)
-                continue
-            a, b = pair
-            m = len(self.points)
-            pa, pb = self.points[a], self.points[b]
-            self.points.append([0.5 * (pa[0] + pb[0]), 0.5 * (pa[1] + pb[1])])
-            self._split(t, m)
-            if nb is not None:
-                self._split(nb, m)
-            stack.pop()
-
-    def finish(self, base):
-        return Mesh(self.points, self.tv, self.refedge, self.gen, self.parent,
-                    self.children, self.alive, root=base._root,
-                    domain_area=base.domain_area)
+    bisected, verts, r, gen, parent = (np.concatenate(c) for c in zip(*parts))
+    children = np.full((n, 2), -1, dtype=np.int64)
+    children[:n0] = mesh.tri_children
+    children[bisected] = np.arange(n0, n).reshape(-1, 2)
+    alive = np.ones(n, dtype=bool)
+    alive[:n0] = mesh.alive
+    alive[bisected] = False
+    fine = Mesh(points, np.concatenate([mesh.tri_verts, verts]),
+                np.concatenate([mesh.tri_refedge, r]),
+                np.concatenate([mesh.tri_gen, gen]),
+                np.concatenate([mesh.tri_parent, parent]),
+                children, alive, root=mesh._root,
+                domain_area=mesh.domain_area)
+    return fine, bisected
 
 
 def bisect_triangle(mesh, t):
@@ -496,9 +479,9 @@ def bisect_triangle(mesh, t):
         raise ValueError("no triangle with id %d" % t)
     if not mesh.alive[t]:
         raise ValueError("triangle %d is retired" % t)
-    b = _Builder(mesh)
-    b.bisect(t)
-    return b.finish(mesh)
+    marked = np.zeros(mesh.ne, dtype=bool)
+    marked[mesh.tri_edge[mesh.live_pos[t], mesh.tri_refedge[t]]] = True
+    return _refine(mesh, marked)[0]
 
 
 def refine_edges(mesh, marked):
@@ -509,45 +492,28 @@ def refine_edges(mesh, marked):
     completion bisections needed for conformity.  Returns ``(mesh, bisected)``
     where ``bisected`` lists the ids of all triangles actually bisected.
     """
-    edge_ids = [int(e) for e in getattr(marked, "edges", marked)]
-    if not edge_ids:
+    edge_ids = np.fromiter(getattr(marked, "edges", marked), dtype=np.int64)
+    if not edge_ids.size:
         return mesh, np.empty(0, dtype=np.int64)
-    for e in edge_ids:
-        if e < 0 or e >= mesh.ne:
-            raise ValueError("no edge with id %d" % e)
-    b = _Builder(mesh)
-    for e in edge_ids:
-        a, v = (int(x) for x in mesh.edge_verts[e])
-        pair = (a, v)
-        while pair in b.e2t:
-            tris = b.e2t[pair]
-            t = min((x for x in tris if b.refedge_pair(x) == pair),
-                    default=min(tris))
-            b.bisect(t)
-    return b.finish(mesh), np.array(sorted(b.bisected), dtype=np.int64)
+    bad = edge_ids[(edge_ids < 0) | (edge_ids >= mesh.ne)]
+    if bad.size:
+        raise ValueError("no edge with id %d" % bad[0])
+    flags = np.zeros(mesh.ne, dtype=bool)
+    flags[edge_ids] = True
+    return _refine(mesh, flags)
 
 
 def uniform_refine(mesh, rounds=1):
-    """Quarter every live triangle ``rounds`` times (two bisection sweeps per
-    round, so each round multiplies the triangle count by exactly 4 and
-    splits every edge)."""
+    """Quarter every live triangle ``rounds`` times (every edge splits, so
+    each round multiplies the triangle count by exactly 4)."""
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     m = mesh
     for _ in range(rounds):
-        b = _Builder(m)
-        first = [int(t) for t in m.live]
-        for t in first:
-            if b.alive[t]:
-                b.bisect(t)
-        for t in first:
-            for c in b.children[t]:
-                if c >= 0 and b.alive[c]:
-                    b.bisect(c)
-        m2 = b.finish(m)
-        if m2.nt != 4 * len(first):
+        nt = m.nt
+        m, _ = _refine(m, np.ones(m.ne, dtype=bool))
+        if m.nt != 4 * nt:
             raise AssertionError("uniform refinement did not quarter the mesh")
-        m = m2
     return m
 
 
@@ -565,27 +531,21 @@ def ancestor_map(fine, coarse):
     # is a prefix of the descendant's.
     if not np.array_equal(fine.tri_verts[:n_coarse], coarse.tri_verts):
         raise NotNestedError("meshes were refined along different paths")
-    out = np.empty(fine.live.size, dtype=np.int64)
-    memo = {}
-    parent = fine.tri_parent
-    alive = coarse.alive
-    for pos, t in enumerate(fine.live):
-        t = int(t)
-        chain = []
-        cur = t
-        while cur not in memo:
-            if cur < n_coarse and alive[cur]:
-                memo[cur] = cur
-                break
-            chain.append(cur)
-            cur = int(parent[cur])
-            if cur < 0:
-                raise NotNestedError(
-                    "triangle %d has no ancestor in the coarse mesh" % t)
-        anc = memo[cur]
-        for c in chain:
-            memo[c] = anc
-        out[pos] = anc
+    # pointer jumping: coarse live triangles point at themselves, every
+    # other row at its parent (-1 past a root); doubling the jumps until
+    # nothing changes leaves each row at its coarse ancestor or at -1
+    up = fine.tri_parent.copy()
+    stop = np.flatnonzero(coarse.alive)
+    up[stop] = stop
+    while True:
+        nxt = np.where(up >= 0, up[up], -1)
+        if np.array_equal(nxt, up):
+            break
+        up = nxt
+    out = up[fine.live]
+    if np.any(out < 0):
+        raise NotNestedError("triangle %d has no ancestor in the coarse mesh"
+                             % fine.live[np.argmax(out < 0)])
     return out
 
 

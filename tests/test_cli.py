@@ -84,6 +84,14 @@ def test_exit_one_on_bad_mesh(tmp_path):
     assert "error:" in res.stderr
 
 
+def test_exit_one_on_non_finite_mesh(tmp_path):
+    bad = tmp_path / "nan.txt"
+    bad.write_text("amfemmesh 1\n3 1\n0 0\nnan 1\n0 1\n0 1 2 -\n")
+    res = run_cli("solve", "--mesh", str(bad), "--out", str(tmp_path))
+    assert res.returncode == 1
+    assert "line 4: non-finite coordinate" in res.stderr
+
+
 def test_exit_one_on_bad_config(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("theta 0.5\n")          # missing equals sign

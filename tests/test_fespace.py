@@ -4,7 +4,7 @@ import pytest
 from amfem.fespace import (DofVector, P0Space, P1Space, RTSpace, curl_p1,
                            div_matrix, div_rt, dof_from_text, dof_to_text,
                            edge_normals, eval_rt, grad_h, interpolate_rt,
-                           l2_project, prolongate, rot_rt, rt_affine,
+                           l2_project, prolongate, rt_affine,
                            rt_mass_matrix)
 from amfem.mesh import load_mesh, uniform_refine
 from amfem.quadrature import tri_points, tri_rule
@@ -139,12 +139,6 @@ def test_eval_outside_triangle_raises():
     dof = DofVector("RT", np.ones(3), space.mesh)
     with pytest.raises(ValueError):
         eval_rt(space, dof, int(space.mesh.live[0]), np.array([0.9, 0.9]))
-
-
-def test_rot_is_identically_zero():
-    m = uniform_refine(unit_square_mesh())
-    dof = DofVector("RT", np.random.default_rng(3).standard_normal(m.ne), m)
-    assert np.all(rot_rt(RTSpace(m), dof) == 0.0)
 
 
 def test_l2_projection_reference_value():

@@ -189,6 +189,13 @@ def test_load_rejects_duplicate_triangle():
         load_mesh(text)
 
 
+def test_load_rejects_edge_traversed_twice_in_same_direction():
+    # both triangles lie left of the edge 0 -> 1, so they overlap
+    text = "amfemmesh 1\n4 2\n0 0\n1 0\n0 1\n1 1\n0 1 2 -\n0 1 3 -\n"
+    with pytest.raises(MeshFormatError, match="same direction"):
+        load_mesh(text)
+
+
 def test_load_rejects_degenerate_triangle():
     text = "amfemmesh 1\n3 1\n0 0\n1 0\n2 0\n0 1 2 -\n"
     with pytest.raises(MeshFormatError):
@@ -216,6 +223,22 @@ def test_load_rejects_unused_vertex():
     text = "amfemmesh 1\n4 1\n0 0\n1 0\n0 1\n5 5\n0 1 2 -\n"
     with pytest.raises(MeshFormatError):
         load_mesh(text)
+
+
+@pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_coordinate(coord):
+    text = "amfemmesh 1\n3 1\n0 0\n%s 1\n0 1\n0 1 2 -\n" % coord
+    with pytest.raises(MeshFormatError, match="line 4"):
+        load_mesh(text)
+
+
+def test_mesh_rejects_non_finite_point():
+    m = ref_tri_mesh()
+    points = m.points.copy()
+    points[1, 0] = np.nan
+    with pytest.raises(MeshFormatError, match="vertex 1"):
+        Mesh(points, m.tri_verts, m.tri_refedge, m.tri_gen, m.tri_parent,
+             m.tri_children, m.alive)
 
 
 def test_load_flips_clockwise_triangle():
