@@ -8,9 +8,9 @@ variant that preprocesses the data oscillation.
 
 __version__ = "0.1.0"
 
-from .mesh import (Mesh, Vertex, Triangle, Edge, MeshFormatError,
-                   NotNestedError, load_mesh, save_mesh, initial_labeling,
-                   bisect_triangle, refine_edges, uniform_refine, mesh_stats)
+from .mesh import (Mesh, Edge, MeshFormatError, NotNestedError, load_mesh,
+                   save_mesh, initial_labeling, bisect_triangle, refine_edges,
+                   uniform_refine, mesh_stats)
 from .sources import FunctionSource, P0Source, as_source
 from .fespace import (RTSpace, P0Space, P1Space, DofVector, eval_rt, div_rt,
                       l2_project, interpolate_rt, prolongate, curl_p1, grad_h)

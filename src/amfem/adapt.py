@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .assembly import ProblemSpec, error_sigma, solve_poisson
 from .estimator import EstimatorReport, estimate, oscillation
-from .fespace import prolongate, rt_mass_matrix, RTSpace
+from .fespace import prolongate, rt_mass_matrix
 from .mesh import Mesh, ancestor_map, refine_edges
 from .sources import P0Source, as_source
 
@@ -141,8 +141,10 @@ def dorfler_mark(report: EstimatorReport, theta: float) -> MarkSet:
     return MarkSet(order[:n].astype(np.int64), float(csum[n - 1] / total))
 
 
-def _patch_tris(mesh, eid):
-    return [int(t) for t in mesh.edge_tri[eid] if t >= 0]
+def _patch_pos(mesh):
+    """(ne, 2) live positions of the triangles on either side of each edge,
+    -1 where there is none: the last slot of an array padded by one."""
+    return np.where(mesh.edge_tri >= 0, mesh.live_pos[mesh.edge_tri], -1)
 
 
 def osc_mark(report: EstimatorReport, theta_tilde: float,
@@ -159,45 +161,42 @@ def osc_mark(report: EstimatorReport, theta_tilde: float,
         mesh = report.mesh
     osc2 = report.osc2_tris
     total = osc2.sum()
-    chosen = [int(e) for e in existing.edges]
-    if theta_tilde == 0.0 or total <= 0.0:
-        return MarkSet(np.array(chosen, dtype=np.int64), existing.achieved)
-    covered_tris = set()
-    for e in chosen:
-        covered_tris.update(_patch_tris(mesh, e))
-    covered = sum(osc2[mesh.live_pos[t]] for t in covered_tris)
+    chosen = np.array(existing.edges, dtype=np.int64)
+    pos = _patch_pos(mesh)
+    covered_tri = np.zeros(mesh.nt + 1, dtype=bool)
+    covered_tri[pos[chosen]] = True
+    covered = osc2[covered_tri[:-1]].sum()
     target = theta_tilde ** 2 * total
-    if covered >= target:
-        return MarkSet(np.array(chosen, dtype=np.int64), existing.achieved)
+    if theta_tilde == 0.0 or total <= 0.0 or covered >= target:
+        return MarkSet(chosen, existing.achieved)
 
-    def gain(eid):
-        return sum(osc2[mesh.live_pos[t]] for t in _patch_tris(mesh, eid)
-                   if t not in covered_tris)
-
-    in_set = set(chosen)
-    heap = []
-    for eid in range(mesh.ne):
-        if eid not in in_set:
-            g = gain(eid)
-            if g > 0:
-                heap.append((-g, eid))
+    # gain of an edge: the oscillation of its patch triangles not yet
+    # covered, summed left then right; recomputed when popped, since
+    # entries go stale as triangles get covered
+    side = np.append(osc2, 0.0)[pos]
+    free = np.where(covered_tri[pos], 0.0, side)
+    gain = free[:, 0] + free[:, 1]
+    ids = np.flatnonzero(gain > 0)      # marked edges have no gain left
+    heap = list(zip((-gain[ids]).tolist(), ids.tolist()))
     heapq.heapify(heap)
+    picks = []
     while covered < target and heap:
         negg, eid = heapq.heappop(heap)
-        g = gain(eid)
+        left, right = pos[eid]
+        g = ((0.0 if covered_tri[left] else side[eid, 0])
+             + (0.0 if covered_tri[right] else side[eid, 1]))
         if g <= 0:
             continue
         if -negg > g and heap and -heap[0][0] > g:
             heapq.heappush(heap, (-g, eid))   # stale entry, re-rank
             continue
-        chosen.append(eid)
-        in_set.add(eid)
-        for t in _patch_tris(mesh, eid):
-            covered_tris.add(t)
+        picks.append(eid)
+        covered_tri[[left, right]] = True
         covered += g
     if covered < target:
         raise AssertionError("could not cover the oscillation target")
-    return MarkSet(np.array(chosen, dtype=np.int64), existing.achieved)
+    return MarkSet(np.append(chosen, picks).astype(np.int64),
+                   existing.achieved)
 
 
 def _combinatorial_check(coarse, fine):
@@ -215,16 +214,30 @@ def _combinatorial_check(coarse, fine):
     return gone
 
 
-def _coarse_osc2(src, fine, coarse):
-    """Squared oscillation of the fine cell means over the coarse mesh."""
-    fmean = src.cell_means(fine)
+def _coarse_dev2(vals, fine, coarse):
+    """Per coarse triangle, the squared L2 distance of a fine P0 field to
+    its coarse means; also the coarse position of every fine triangle."""
     anc = coarse.live_pos[ancestor_map(fine, coarse)]
     area = fine.tri_area
-    cmean = (np.bincount(anc, weights=fmean * area, minlength=coarse.nt)
+    cmean = (np.bincount(anc, weights=vals * area, minlength=coarse.nt)
              / coarse.tri_area)
-    dev = np.bincount(anc, weights=(fmean - cmean[anc]) ** 2 * area,
-                      minlength=coarse.nt)
+    return anc, np.bincount(anc, weights=(vals - cmean[anc]) ** 2 * area,
+                            minlength=coarse.nt)
+
+
+def _coarse_osc2(src, fine, coarse):
+    """Squared oscillation of the fine cell means over the coarse mesh."""
+    dev = _coarse_dev2(src.cell_means(fine), fine, coarse)[1]
     return float((coarse.tri_h ** 2 * dev).sum())
+
+
+def _stop(hist, converged, k, mesh, max_iters, max_triangles):
+    """Whether a loop ends at step k; sets the history's status if so."""
+    if converged:
+        hist.status = "tol"
+    elif k >= max_iters or mesh.nt >= max_triangles:
+        hist.status = "capped"
+    return bool(hist.status)
 
 
 def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
@@ -239,11 +252,12 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
         raise ValueError("the adaptive loop requires homogeneous boundary "
                          "values; solve with g directly instead")
     src = as_source(problem.f)
+    problem = replace(problem, f=src)   # one load evaluation per mesh
     hist = ConvergenceHistory()
     hist.monitors = {"upper_ratio": [], "n_gone": [], "n_patch": []}
     mesh = mesh0
     osc0 = None
-    prev = None     # (mesh, solution, report, marked) of the previous step
+    prev = None     # (mesh, flux, report) of the previous step
     k = 0
     while True:
         t0 = time.perf_counter()
@@ -257,13 +271,11 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
             osc0 = np.sqrt(osc2)
 
         if monitors and prev is not None:
-            pmesh, psol, preport, pmarked = prev
+            pmesh, psigma, preport = prev
             gone = _combinatorial_check(pmesh, mesh)
             hist.monitors["n_gone"].append(len(gone))
-            d = (sol.sigma.values
-                 - prolongate(psol.sigma, mesh).values)
-            M = rt_mass_matrix(RTSpace(mesh))
-            num = float(d @ (M @ d))
+            d = sol.sigma.values - prolongate(psigma, mesh).values
+            num = float(d @ (rt_mass_matrix(sol.space) @ d))
             den = float(preport.eta2_edges[gone].sum()) + _coarse_osc2(
                 src, mesh, pmesh)
             hist.monitors["upper_ratio"].append(
@@ -271,30 +283,23 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
         elif prev is not None:
             _combinatorial_check(prev[0], mesh)
 
-        row = dict(k=k, stage=stage, nT=mesh.nt, nE=mesh.ne, eta2=eta2,
-                   osc2=osc2, err=err, n_marked=0, n_bisected=0, wall_ms=0.0)
-        if np.sqrt(eta2) < params.epsilon:
-            hist.status = "tol"
-            row["wall_ms"] = (time.perf_counter() - t0) * 1e3
-            hist.add(**row)
+        done = _stop(hist, np.sqrt(eta2) < params.epsilon, k, mesh,
+                     params.max_iters, params.max_triangles)
+        marked, bisected = (), ()
+        if not done:
+            marked = dorfler_mark(report, params.theta)
+            if np.sqrt(osc2) > osc0 * params.mu ** k:
+                marked = osc_mark(report, params.theta_tilde, marked, mesh)
+            patch = _patch_pos(mesh)[marked.edges]
+            hist.monitors["n_patch"].append(len(np.unique(patch[patch >= 0])))
+            new_mesh, bisected = refine_edges(mesh, marked)
+        hist.add(k=k, stage=stage, nT=mesh.nt, nE=mesh.ne, eta2=eta2,
+                 osc2=osc2, err=err, n_marked=len(marked),
+                 n_bisected=len(bisected),
+                 wall_ms=(time.perf_counter() - t0) * 1e3)
+        if done:
             return mesh, sol, hist
-        if k >= params.max_iters or mesh.nt >= params.max_triangles:
-            hist.status = "capped"
-            row["wall_ms"] = (time.perf_counter() - t0) * 1e3
-            hist.add(**row)
-            return mesh, sol, hist
-
-        marked = dorfler_mark(report, params.theta)
-        if np.sqrt(osc2) > osc0 * params.mu ** k:
-            marked = osc_mark(report, params.theta_tilde, marked, mesh)
-        hist.monitors["n_patch"].append(
-            len({t for e in marked.edges for t in _patch_tris(mesh, int(e))}))
-        new_mesh, bisected = refine_edges(mesh, marked)
-        row["n_marked"] = len(marked)
-        row["n_bisected"] = len(bisected)
-        row["wall_ms"] = (time.perf_counter() - t0) * 1e3
-        hist.add(**row)
-        prev = (mesh, sol, report, marked)
+        prev = (mesh, sol.sigma, report)
         mesh = new_mesh
         k += 1
 
@@ -315,26 +320,20 @@ def approx(f, mesh0: Mesh, epsilon: float, theta_osc: float = 0.5,
         t0 = time.perf_counter()
         osc2_tris = oscillation(src, mesh)
         osc2 = float(osc2_tris.sum())
-        row = dict(k=k, stage="approx", nT=mesh.nt, nE=mesh.ne,
-                   eta2=float("nan"), osc2=osc2, err=float("nan"),
-                   n_marked=0, n_bisected=0, wall_ms=0.0)
-        if np.sqrt(osc2) <= epsilon:
-            hist.status = "tol"
-            row["wall_ms"] = (time.perf_counter() - t0) * 1e3
-            hist.add(**row)
+        done = _stop(hist, np.sqrt(osc2) <= epsilon, k, mesh, max_iters,
+                     max_triangles)
+        marked, bisected = (), ()
+        if not done:
+            report = EstimatorReport(mesh, np.zeros(mesh.ne), osc2_tris)
+            marked = osc_mark(report, theta_osc, mesh=mesh)
+            new_mesh, bisected = refine_edges(mesh, marked)
+        hist.add(k=k, stage="approx", nT=mesh.nt, nE=mesh.ne,
+                 eta2=float("nan"), osc2=osc2, err=float("nan"),
+                 n_marked=len(marked), n_bisected=len(bisected),
+                 wall_ms=(time.perf_counter() - t0) * 1e3)
+        if done:
             return mesh, hist
-        if k >= max_iters or mesh.nt >= max_triangles:
-            hist.status = "capped"
-            row["wall_ms"] = (time.perf_counter() - t0) * 1e3
-            hist.add(**row)
-            return mesh, hist
-        report = EstimatorReport(mesh, np.zeros(mesh.ne), osc2_tris)
-        marked = osc_mark(report, theta_osc, mesh=mesh)
-        mesh, bisected = refine_edges(mesh, marked)
-        row["n_marked"] = len(marked)
-        row["n_bisected"] = len(bisected)
-        row["wall_ms"] = (time.perf_counter() - t0) * 1e3
-        hist.add(**row)
+        mesh = new_mesh
         k += 1
 
 

@@ -58,17 +58,21 @@ class SaddleSystem:
 class MixedSolution:
     sigma: DofVector
     u: DofVector
-    mesh: Mesh
+    space: RTSpace          # the flux space the system was assembled on
     residual_sigma: float
     residual_u: float
     conservation_defect: float
     wall_ms: float = 0.0
     _affine: tuple = field(default=None, repr=False)
 
+    @property
+    def mesh(self):
+        return self.space.mesh
+
     def affine(self):
         """Cached per-triangle affine form of the flux field."""
         if self._affine is None:
-            self._affine = rt_affine(RTSpace(self.mesh), self.sigma.values)
+            self._affine = rt_affine(self.space, self.sigma.values)
         return self._affine
 
 
@@ -129,8 +133,8 @@ def solve(system: SaddleSystem) -> MixedSolution:
                           % (defect, CONSERVATION_TOL))
     wall = (time.perf_counter() - t0) * 1e3
     return MixedSolution(DofVector("RT", sig, mesh), DofVector("P0", u, mesh),
-                         mesh, float(res_sigma), float(res_u), float(defect),
-                         wall)
+                         system.space, float(res_sigma), float(res_u),
+                         float(defect), wall)
 
 
 def solve_poisson(mesh: Mesh, problem: ProblemSpec) -> MixedSolution:
@@ -156,7 +160,7 @@ def error_sigma(sol: MixedSolution, reference) -> float:
         fine = reference.mesh
         coarse_on_fine = prolongate(sol.sigma, fine)
         d = reference.sigma.values - coarse_on_fine.values
-        M = rt_mass_matrix(RTSpace(fine))
+        M = rt_mass_matrix(reference.space)
         return float(np.sqrt(max(d @ (M @ d), 0.0)))
     a0, c = sol.affine()
     return float(np.sqrt(_quad_norm2_diff(sol.mesh, a0, c, reference)))

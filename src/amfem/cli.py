@@ -15,20 +15,20 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, quadrature
 from .adapt import AdaptParams, amfem, approx, two_stage
-from .assembly import SolverError, solve_poisson, error_sigma
+from .assembly import ProblemSpec, SolverError, solve_poisson, error_sigma
 from .estimator import estimate, report_to_csv
 from .fespace import dof_to_text
 from .mesh import MeshFormatError, load_mesh, save_mesh, uniform_refine
-from .sources import as_source
-from .verify import (SUITES, benchmark, benchmark_names, fit_rate, run_suite,
-                     suite_csv, uniform_study)
-from .assembly import ProblemSpec
+from .sources import FunctionSource, as_source
+from .verify import (SUITES, benchmark, benchmark_names, fit_points, fit_rate,
+                     run_suite, suite_csv, uniform_study)
 
 __all__ = ["main"]
 
@@ -65,8 +65,12 @@ def _build_parser():
                        "(default: $AMFEM_OUT or ./amfem_out)")
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--quad-degree", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted and recorded, but has no effect: "
+                       "amfem runs in one thread")
+        p.add_argument("--quad-degree", type=int, default=None,
+                       help="degree of the load quadrature, rounded up to "
+                       "the next available rule")
 
     p = sub.add_parser("solve", help="assemble and solve on one mesh")
     common(p)
@@ -142,7 +146,18 @@ def _resolve(args):
         raise ConfigError("threads must be at least 1")
     if cfg["quad_degree"] < 1:
         raise ConfigError("quad-degree must be at least 1")
+    cfg["quad_degree"] = quadrature.rule_degree(cfg["quad_degree"])
     return cfg
+
+
+def _make(cfg):
+    """The benchmark's mesh and problem, with a callable load integrated
+    by the configured rule."""
+    mesh0, problem = benchmark(cfg["benchmark"]).make()
+    if callable(problem.f):
+        problem = replace(problem, f=FunctionSource(problem.f,
+                                                    cfg["quad_degree"]))
+    return mesh0, problem
 
 
 def _write(outdir, name, text):
@@ -161,12 +176,18 @@ def _write_meta(cfg, command, wall_ms, extra=None):
     lines.append("scipy_version=%s" % scipy.__version__)
     lines.append("python_version=%s" % sys.version.split()[0])
     lines.append("wall_ms=%.3f" % wall_ms)
+    lines.append("unused_options=threads")
     for key, val in (extra or {}).items():
         lines.append("%s=%s" % (key, val))
     _write(cfg["out"], "run.meta", "\n".join(lines) + "\n")
 
 
-def _emit_solution(cfg, mesh, sol, report, err):
+def _emit_solution(cfg, sol, problem):
+    """Estimate and write the final solution; returns its summary."""
+    mesh = sol.mesh
+    report = estimate(sol, as_source(problem.f))
+    err = (error_sigma(sol, problem.sigma_exact)
+           if problem.sigma_exact is not None else float("nan"))
     _write(cfg["out"], "mesh.txt", save_mesh(mesh))
     _write(cfg["out"], "sigma.dof", dof_to_text(sol.sigma))
     _write(cfg["out"], "u.dof", dof_to_text(sol.u))
@@ -184,19 +205,18 @@ def _cmd_solve(args):
         raise ConfigError("solve needs exactly one of --benchmark or --mesh")
     t0 = time.perf_counter()
     if cfg.get("benchmark"):
-        mesh, problem = benchmark(cfg["benchmark"]).make()
+        mesh, problem = _make(cfg)
         label = cfg["benchmark"]
     else:
         mesh = load_mesh(open(cfg["mesh"]).read())
-        problem = ProblemSpec(f=lambda x, y: np.ones_like(x), name="unit-load")
+        problem = ProblemSpec(f=FunctionSource(lambda x, y: np.ones_like(x),
+                                               cfg["quad_degree"]),
+                              name="unit-load")
         label = cfg["mesh"]
     mesh = uniform_refine(mesh, int(cfg["refine_uniform"]))
     sol = solve_poisson(mesh, problem)
-    report = estimate(sol, as_source(problem.f))
-    err = (error_sigma(sol, problem.sigma_exact)
-           if problem.sigma_exact is not None else float("nan"))
     os.makedirs(cfg["out"], exist_ok=True)
-    line = "solve %s %s" % (label, _emit_solution(cfg, mesh, sol, report, err))
+    line = "solve %s %s" % (label, _emit_solution(cfg, sol, problem))
     _write_meta(cfg, "solve", (time.perf_counter() - t0) * 1e3)
     print(line)
     return 0
@@ -205,7 +225,7 @@ def _cmd_solve(args):
 def _cmd_adapt(args):
     cfg = _resolve(args)
     t0 = time.perf_counter()
-    mesh0, problem = benchmark(cfg["benchmark"]).make()
+    mesh0, problem = _make(cfg)
     params = AdaptParams(epsilon=cfg["epsilon"], theta=cfg["theta"],
                          theta_tilde=cfg["theta_tilde"], mu=cfg["mu"],
                          max_iters=cfg["max_iters"],
@@ -223,10 +243,7 @@ def _cmd_adapt(args):
     os.makedirs(cfg["out"], exist_ok=True)
     _write(cfg["out"], "history.csv", hist.to_csv())
     if mesh is not None:
-        report = estimate(sol, as_source(problem.f))
-        err = (error_sigma(sol, problem.sigma_exact)
-               if problem.sigma_exact is not None else float("nan"))
-        summary = _emit_solution(cfg, mesh, sol, report, err)
+        summary = _emit_solution(cfg, sol, problem)
     else:
         last = hist.records[-1]
         summary = "nT=%d nE=%d eta2=%s" % (last.nT, last.nE, repr(last.eta2))
@@ -243,7 +260,7 @@ def _cmd_adapt(args):
 def _cmd_approx(args):
     cfg = _resolve(args)
     t0 = time.perf_counter()
-    mesh0, problem = benchmark(cfg["benchmark"]).make()
+    mesh0, problem = _make(cfg)
     mesh, hist = approx(problem.f, mesh0, cfg["epsilon"],
                         theta_osc=cfg["theta_osc"],
                         max_triangles=cfg["max_triangles"])
@@ -284,30 +301,28 @@ def _cmd_check(args):
 def _cmd_study(args):
     cfg = _resolve(args)
     t0 = time.perf_counter()
-    bench = benchmark(cfg["benchmark"])
-    mesh0, problem = bench.make()
+    mesh0, problem = _make(cfg)
+    levels = int(cfg["levels"])
     lines = ["level,nT,nE,eta2,osc2,err"]
     if cfg["mode"] == "uniform":
-        hist = uniform_study(mesh0, problem, int(cfg["levels"]))
-        records = hist.records
+        records = uniform_study(mesh0, problem, levels).records
     else:
-        records = []
+        # the trajectory does not depend on epsilon: one run to the
+        # smallest tolerance holds the stopping record of every level
         sol0 = solve_poisson(mesh0, problem)
         eta0 = np.sqrt(estimate(sol0, as_source(problem.f)).eta2_total)
-        for j in range(1, int(cfg["levels"]) + 1):
-            params = AdaptParams(epsilon=eta0 / 2.0 ** j, theta=cfg["theta"],
-                                 theta_tilde=cfg["theta_tilde"], mu=cfg["mu"],
-                                 max_iters=cfg["max_iters"],
-                                 max_triangles=cfg["max_triangles"])
-            _, _, hist = amfem(mesh0, problem, params)
-            records.append(hist.records[-1])
-        hist = None
+        params = AdaptParams(epsilon=eta0 / 2.0 ** levels, theta=cfg["theta"],
+                             theta_tilde=cfg["theta_tilde"], mu=cfg["mu"],
+                             max_iters=cfg["max_iters"],
+                             max_triangles=cfg["max_triangles"])
+        run = amfem(mesh0, problem, params)[2].records
+        records = [next((r for r in run if np.sqrt(r.eta2) < eta0 / 2.0 ** j),
+                        run[-1]) for j in range(1, levels + 1)]
     for i, r in enumerate(records):
         lines.append("%d,%d,%d,%s,%s,%s" % (i, r.nT, r.nE, repr(r.eta2),
                                             repr(r.osc2), repr(r.err)))
     ns = [r.nT for r in records]
     vals = [np.sqrt(r.eta2) for r in records]
-    from .verify import fit_points
     extra = {}
     try:
         extra["rate_s"] = "%r" % fit_points(ns, vals).s

@@ -90,6 +90,10 @@ def dof_from_text(text, mesh):
     if len(rows) != 1 + n:
         raise ValueError("expected %d coefficients, found %d" % (n, len(rows) - 1))
     vals = np.array([float(r) for r in rows[1:]])
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError("coefficient row %d is not finite: %r"
+                         % (bad[0] + 1, rows[1 + bad[0]]))
     return DofVector(head[2], vals, mesh)
 
 

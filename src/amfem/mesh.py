@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Mesh", "Vertex", "Triangle", "Edge",
+    "Mesh", "Edge",
     "MeshFormatError", "NotNestedError",
     "load_mesh", "save_mesh", "initial_labeling",
     "bisect_triangle", "refine_edges", "uniform_refine",
@@ -54,24 +54,6 @@ class MeshFormatError(ValueError):
 
 class NotNestedError(ValueError):
     """Two meshes do not belong to the same refinement hierarchy."""
-
-
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class Triangle:
-    """One triangle of the genealogy; ``alive`` marks membership in the mesh."""
-    id: int
-    verts: tuple
-    refinement_edge: int
-    generation: int
-    parent: int
-    alive: bool
 
 
 @dataclass(frozen=True)
@@ -209,28 +191,6 @@ class Mesh:
     @property
     def ne(self):
         return len(self.edge_verts)
-
-    @property
-    def vertices(self):
-        if "vertices" not in self._caches:
-            self._caches["vertices"] = [
-                Vertex(i, float(x), float(y))
-                for i, (x, y) in enumerate(self.points)]
-        return self._caches["vertices"]
-
-    @property
-    def triangles(self):
-        if "triangles" not in self._caches:
-            self._caches["triangles"] = [
-                Triangle(i, tuple(int(v) for v in self.tri_verts[i]),
-                         int(self.tri_refedge[i]), int(self.tri_gen[i]),
-                         int(self.tri_parent[i]), bool(self.alive[i]))
-                for i in range(len(self.tri_verts))]
-        return self._caches["triangles"]
-
-    def live_triangles(self):
-        tris = self.triangles
-        return [tris[i] for i in self.live]
 
     @property
     def edges(self):

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["tri_rule", "edge_rule", "tri_points", "DEFAULT_DEGREE"]
+__all__ = ["tri_rule", "rule_degree", "edge_rule", "tri_points",
+           "DEFAULT_DEGREE"]
 
 DEFAULT_DEGREE = 4
 
@@ -30,12 +31,17 @@ _RULES = {
 }
 
 
-def tri_rule(degree=DEFAULT_DEGREE):
-    """Smallest available rule exact to at least the requested degree."""
+def rule_degree(degree=DEFAULT_DEGREE):
+    """Degree of the smallest available rule exact to at least ``degree``."""
     for d in sorted(_RULES):
         if d >= degree:
-            return _RULES[d]
+            return d
     raise ValueError("no triangle rule of degree %d available" % degree)
+
+
+def tri_rule(degree=DEFAULT_DEGREE):
+    """Smallest available rule exact to at least the requested degree."""
+    return _RULES[rule_degree(degree)]
 
 
 def edge_rule():
@@ -47,4 +53,4 @@ def edge_rule():
 def tri_points(coords, bary):
     """Physical quadrature points, shape (nt, nq, 2), from vertex coordinates
     (nt, 3, 2) and barycentric points (nq, 3)."""
-    return np.einsum("qi,tix->tqx", bary, coords)
+    return bary @ coords

@@ -17,31 +17,37 @@ __all__ = ["FunctionSource", "P0Source", "as_source"]
 
 
 class FunctionSource:
-    """Scalar field given as a vectorized callable f(x, y)."""
+    """Scalar field given as a vectorized callable f(x, y).  The point
+    values on the last mesh evaluated are kept, so every consumer on one
+    mesh (assembly, estimator, monitors) shares one evaluation of f."""
 
     def __init__(self, f, degree=quadrature.DEFAULT_DEGREE):
         self.f = f
         self.degree = degree
+        self._bary, self._w = quadrature.tri_rule(degree)
+        self._mesh = self._vals = None
 
     def _values(self, mesh):
-        coords = mesh.points[mesh.tri_verts[mesh.live]]
-        bary, w = quadrature.tri_rule(self.degree)
-        pts = quadrature.tri_points(coords, bary)
-        vals = np.asarray(self.f(pts[..., 0], pts[..., 1]), dtype=float)
-        return vals, w
+        if mesh is not self._mesh:
+            self._mesh = self._vals = None     # never hold two meshes' values
+            pts = quadrature.tri_points(mesh.points[mesh.tri_verts[mesh.live]],
+                                        self._bary)
+            self._vals = np.asarray(self.f(pts[..., 0], pts[..., 1]),
+                                    dtype=float)
+            self._mesh = mesh
+        return self._vals
 
     def cell_integrals(self, mesh):
-        vals, w = self._values(mesh)
-        return mesh.tri_area * (vals @ w)
+        return mesh.tri_area * (self._values(mesh) @ self._w)
 
     def cell_means(self, mesh):
         return self.cell_integrals(mesh) / mesh.tri_area
 
     def cell_osc2(self, mesh):
         """Per live triangle, the squared L2 distance of f to its mean."""
-        vals, w = self._values(mesh)
-        mean = vals @ w
-        osc2 = mesh.tri_area * (((vals - mean[:, None]) ** 2) @ w)
+        vals = self._values(mesh)
+        mean = vals @ self._w
+        osc2 = mesh.tri_area * (((vals - mean[:, None]) ** 2) @ self._w)
         return np.maximum(osc2, 0.0)
 
 

@@ -279,3 +279,42 @@ def test_gamma_hat_geometric_mean():
         h.add(k=k, stage="amfem", nT=k + 1, nE=k + 1, eta2=e2, osc2=0.0,
               err=np.nan, n_marked=1, n_bisected=1, wall_ms=0.0)
     assert h.gamma_hat() == pytest.approx(np.sqrt(0.5), rel=1e-12)
+
+
+class CountingLoad:
+    """Vectorized load that records the size of every evaluation."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = []
+
+    def __call__(self, x, y):
+        self.calls.append(x.size)
+        return self.f(x, y)
+
+
+def test_amfem_evaluates_load_once_per_mesh():
+    mesh0, prob = benchmark("lshape_sing").make()
+    load = CountingLoad(prob.f)
+    prob = ProblemSpec(f=load, sigma_exact=prob.sigma_exact)
+    _, _, hist = amfem(mesh0, prob, AdaptParams(epsilon=0.3), monitors=True)
+    assert len(hist.records) > 2
+    assert len(load.calls) == len(hist.records)
+    assert load.calls == [6 * r.nT for r in hist.records]
+
+
+def test_amfem_builds_one_mass_matrix_per_mesh(monkeypatch):
+    from amfem import adapt, assembly, fespace
+    built = []
+    real = fespace.rt_mass_matrix
+
+    def counting(space):
+        if space._mass is None:
+            built.append(space.mesh.nt)
+        return real(space)
+
+    for module in (adapt, assembly):
+        monkeypatch.setattr(module, "rt_mass_matrix", counting)
+    mesh0, prob = benchmark("lshape_sing").make()
+    _, _, hist = amfem(mesh0, prob, AdaptParams(epsilon=0.3), monitors=True)
+    assert built == list(hist.column("nT"))

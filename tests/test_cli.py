@@ -193,3 +193,78 @@ def test_check_reports_are_deterministic(tmp_path):
 def test_version_flag():
     res = run_cli("--version")
     assert res.returncode == 0
+
+
+def solve_smooth_u3(tmp_path, *extra):
+    res = run_cli("solve", "--benchmark", "smooth_square",
+                  "--refine-uniform", "3", "--out", str(tmp_path), *extra)
+    return res, parse_summary(res.stdout.strip())
+
+
+def test_quad_degree_rounds_up_to_an_available_rule(tmp_path):
+    # degree 3 runs the degree-4 rule, which is the default
+    res, got = solve_smooth_u3(tmp_path, "--quad-degree", "3")
+    assert res.returncode == 0, res.stderr
+    want = parse_summary(open(GOLDEN).read().strip())
+    for key in ("eta2", "osc2", "err"):
+        assert float(got[key]) == pytest.approx(float(want[key]), abs=1e-10)
+    meta = (tmp_path / "run.meta").read_text().splitlines()
+    assert "quad_degree=4" in meta
+
+
+def test_quad_degree_reaches_the_load(tmp_path):
+    res, got = solve_smooth_u3(tmp_path, "--quad-degree", "5")
+    assert res.returncode == 0, res.stderr
+    assert float(got["osc2"]) == pytest.approx(0.05165912463977354,
+                                               abs=1e-12)
+    assert "quad_degree=5" in (tmp_path / "run.meta").read_text().splitlines()
+
+
+def test_quad_degree_without_rule_is_rejected(tmp_path):
+    out = tmp_path / "out"
+    res, _ = solve_smooth_u3(out, "--quad-degree", "6")
+    assert res.returncode == 1
+    assert "degree 6" in res.stderr
+    assert not out.exists()
+
+
+def test_threads_is_recorded_as_unused(tmp_path):
+    res = run_cli("check", "--suite", "marking", "--threads", "1",
+                  "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    meta = (tmp_path / "run.meta").read_text().splitlines()
+    assert "threads=1" in meta and "unused_options=threads" in meta
+    help_text = run_cli("check", "--help").stdout
+    assert "no effect" in " ".join(help_text.split())
+
+
+def per_level_study(levels, **caps):
+    """study.csv as the per-level loop wrote it: one adaptive run from
+    scratch for every level, keeping each run's last record."""
+    from amfem.adapt import AdaptParams, amfem
+    from amfem.assembly import solve_poisson
+    from amfem.estimator import estimate
+    from amfem.sources import as_source
+    from amfem.verify import benchmark
+    mesh0, problem = benchmark("lshape_sing").make()
+    sol0 = solve_poisson(mesh0, problem)
+    eta0 = np.sqrt(estimate(sol0, as_source(problem.f)).eta2_total)
+    lines = ["level,nT,nE,eta2,osc2,err"]
+    for j in range(1, levels + 1):
+        params = AdaptParams(epsilon=eta0 / 2.0 ** j, theta=0.3,
+                             theta_tilde=0.5, mu=0.7, **caps)
+        r = amfem(mesh0, problem, params)[2].records[-1]
+        lines.append("%d,%d,%d,%s,%s,%s" % (j - 1, r.nT, r.nE, repr(r.eta2),
+                                            repr(r.osc2), repr(r.err)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("caps", [{}, {"max_iters": 2}],
+                         ids=["tol", "capped"])
+def test_adaptive_study_matches_per_level_runs(tmp_path, caps):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("".join("%s = %s\n" % kv for kv in caps.items()))
+    res = run_cli("study", "--benchmark", "lshape_sing", "--levels", "3",
+                  "--config", str(cfg), "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "study.csv").read_text() == per_level_study(3, **caps)

@@ -305,3 +305,10 @@ def test_dofvector_shape_validation():
         DofVector("RT", np.zeros(m.ne + 1), m)
     with pytest.raises(ValueError):
         DofVector("P9", np.zeros(m.ne), m)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_dof_text_rejects_non_finite_value(bad):
+    text = "amfemdof 1 P0 2\n1.5\n%s\n" % bad
+    with pytest.raises(ValueError, match="coefficient row 2 is not finite"):
+        dof_from_text(text, unit_square_mesh())

@@ -1,0 +1,72 @@
+"""The array-based ``osc_mark`` against the per-edge reference in
+``osc_mark_reference``: the marked edges must be equal, in the same order,
+for random oscillation vectors (with exact ties and zeros) and random
+existing marked sets."""
+import numpy as np
+import pytest
+
+import osc_mark_reference as ref
+from amfem.adapt import MarkSet, osc_mark
+from amfem.estimator import EstimatorReport
+from amfem.mesh import refine_edges, uniform_refine
+from amfem.verify import benchmark
+
+BENCHMARKS = ("smooth_square", "lshape_sing", "checker_const")
+
+
+def meshes(name, rng):
+    """The benchmark mesh, two uniform refinements of it and a local one."""
+    mesh, _ = benchmark(name).make()
+    out = [mesh, uniform_refine(mesh, 1), uniform_refine(mesh, 3)]
+    fine = out[-1]
+    marked = rng.choice(fine.ne, size=fine.ne // 10, replace=False)
+    out.append(refine_edges(fine, marked)[0])
+    return out
+
+
+def osc2_vectors(nt, rng):
+    """Continuous values with zeros, and dyadic values whose sums tie
+    exactly, so the tie rule of the heap is exercised."""
+    cont = rng.uniform(0.0, 1.0, nt)
+    cont[rng.random(nt) < 0.3] = 0.0
+    dyadic = rng.choice([0.0, 0.25, 0.5, 1.0], size=nt)
+    sparse = np.zeros(nt)
+    sparse[rng.choice(nt, size=max(1, nt // 20), replace=False)] = 1.0
+    return [cont, dyadic, sparse, np.zeros(nt)]
+
+
+def existing_sets(ne, rng):
+    yield None
+    yield MarkSet(np.empty(0, dtype=np.int64), 0.0)
+    for size in (1, max(1, ne // 8)):
+        yield MarkSet(rng.choice(ne, size=size, replace=False), 0.25)
+
+
+@pytest.mark.parametrize("name", BENCHMARKS)
+def test_marks_match_reference(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    calls = 0
+    for mesh in meshes(name, rng):
+        for osc2 in osc2_vectors(mesh.nt, rng):
+            report = EstimatorReport(mesh, np.zeros(mesh.ne), osc2)
+            for existing in existing_sets(mesh.ne, rng):
+                for theta in (0.0, float(rng.uniform(0.05, 0.95)), 1.0):
+                    if theta == 1.0 and np.any(osc2 % 0.25):
+                        # a full cover of non-dyadic values hinges on the
+                        # rounding of two differently ordered sums
+                        continue
+                    got = osc_mark(report, theta, existing, mesh)
+                    want = ref.osc_mark(report, theta, existing, mesh)
+                    assert got.edges.dtype == np.int64
+                    assert got.edges.tolist() == want.edges.tolist()
+                    assert got.achieved == want.achieved
+                    calls += 1
+    assert calls > 100
+
+
+def test_mesh_argument_defaults_to_report_mesh():
+    mesh = uniform_refine(benchmark("lshape_sing").make()[0], 2)
+    osc2 = np.random.default_rng(3).uniform(0.0, 1.0, mesh.nt)
+    report = EstimatorReport(mesh, np.zeros(mesh.ne), osc2)
+    assert (osc_mark(report, 0.6).edges.tolist()
+            == ref.osc_mark(report, 0.6).edges.tolist())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from amfem.adapt import ConvergenceHistory
+from amfem.assembly import ProblemSpec
 from amfem.fespace import DofVector
 from amfem.mesh import uniform_refine
 from amfem.verify import (SUITES, benchmark, benchmark_names, check_helmholtz,
@@ -176,3 +177,31 @@ def test_suite_seed_changes_recorded_values():
     a = suite_csv(run_suite("helmholtz", seed=1))
     b = suite_csv(run_suite("helmholtz", seed=2))
     assert a != b                # seed row differs even if checks all pass
+
+
+def test_uniform_study_evaluates_load_once_per_mesh():
+    mesh0, prob = benchmark("smooth_square").make()
+    calls = []
+
+    def load(x, y):
+        calls.append(x.size)
+        return smooth_f(x, y)
+
+    hist = uniform_study(mesh0, ProblemSpec(f=load, sigma_exact=smooth_sigma),
+                         3)
+    assert calls == [6 * r.nT for r in hist.records]
+
+
+def test_uniform_study_wall_ms_covers_the_whole_round(monkeypatch):
+    import time
+    from amfem import verify
+    real = verify.uniform_refine
+
+    def slow_refine(mesh, rounds=1):
+        time.sleep(0.05)
+        return real(mesh, rounds)
+
+    monkeypatch.setattr(verify, "uniform_refine", slow_refine)
+    mesh0, prob = benchmark("smooth_square").make()
+    hist = uniform_study(mesh0, prob, 2)
+    assert all(r.wall_ms >= 50.0 for r in hist.records[1:])
