@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -22,7 +23,8 @@ import scipy
 
 from . import __version__, quadrature
 from .adapt import AdaptParams, amfem, approx, two_stage
-from .assembly import ProblemSpec, SolverError, solve_poisson, error_sigma
+from .assembly import (SOLVER, ProblemSpec, SolverError, solve_poisson,
+                       error_sigma)
 from .estimator import estimate, report_to_csv
 from .fespace import dof_to_text
 from .mesh import MeshFormatError, load_mesh, save_mesh, uniform_refine
@@ -167,6 +169,11 @@ def _write(outdir, name, text):
     return path
 
 
+# options a command accepts and records but that take no effect: amfem runs
+# in one thread, and the check suites build their own problems
+_UNUSED = {"check": "quad_degree,threads"}
+
+
 def _write_meta(cfg, command, wall_ms, extra=None):
     lines = ["command=%s" % command]
     for key in sorted(cfg):
@@ -176,7 +183,11 @@ def _write_meta(cfg, command, wall_ms, extra=None):
     lines.append("scipy_version=%s" % scipy.__version__)
     lines.append("python_version=%s" % sys.version.split()[0])
     lines.append("wall_ms=%.3f" % wall_ms)
-    lines.append("unused_options=threads")
+    lines.append("unused_options=%s" % _UNUSED.get(command, "threads"))
+    if command != "approx":
+        lines.append("solver=%s" % SOLVER)
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    lines.append("peak_rss_mb=%.1f" % (peak_kib / 1024.0))
     for key, val in (extra or {}).items():
         lines.append("%s=%s" % (key, val))
     _write(cfg["out"], "run.meta", "\n".join(lines) + "\n")

@@ -23,7 +23,8 @@ from . import quadrature
 from .adapt import (AdaptParams, ConvergenceHistory, MarkSet, amfem, approx,
                     dorfler_mark, osc_mark, _coarse_dev2, _coarse_osc2,
                     _patch_pos)
-from .assembly import ProblemSpec, error_sigma, solve_poisson
+from .assembly import (ProblemSpec, SaddleSystem, error_sigma, solve,
+                       solve_poisson)
 from .estimator import (EstimatorReport, estimate, indicator_edges,
                         oscillation)
 from .fespace import (DofVector, RTSpace, P0Space, curl_p1, div_matrix,
@@ -310,11 +311,11 @@ def helmholtz_split(sigma: DofVector):
     space = RTSpace(mesh)
     M = rt_mass_matrix(space)
     B = div_matrix(space)
-    K = sp.bmat([[M, B.T], [B, None]], format="csc")
-    rhs = np.concatenate([np.zeros(mesh.ne), B @ sigma.values])
-    x = spla.splu(K).solve(rhs)
-    g = x[:mesh.ne]
-    phi = x[mesh.ne:]
+    # the gradient part is the mixed solution with load div sigma and no
+    # boundary data; its potential is phi = -u
+    sol = solve(SaddleSystem(space, M, B, np.zeros(mesh.ne), B @ sigma.values))
+    g = sol.sigma.values
+    phi = -sol.u.values
     c = sigma.values - g
     C = _curl_matrix(mesh)
     L = (C.T @ M @ C).tocsc()

@@ -232,10 +232,44 @@ def test_threads_is_recorded_as_unused(tmp_path):
     res = run_cli("check", "--suite", "marking", "--threads", "1",
                   "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
-    meta = (tmp_path / "run.meta").read_text().splitlines()
-    assert "threads=1" in meta and "unused_options=threads" in meta
+    meta = read_meta(tmp_path)
+    assert meta["threads"] == "1"
+    assert "threads" in meta["unused_options"].split(",")
     help_text = run_cli("check", "--help").stdout
     assert "no effect" in " ".join(help_text.split())
+
+
+def read_meta(outdir):
+    return dict(line.split("=", 1)
+                for line in (outdir / "run.meta").read_text().splitlines())
+
+
+def test_check_records_quad_degree_as_unused(tmp_path):
+    res = run_cli("check", "--suite", "marking", "--quad-degree", "5",
+                  "--out", str(tmp_path / "check"))
+    assert res.returncode == 0, res.stderr
+    meta = read_meta(tmp_path / "check")
+    assert meta["quad_degree"] == "5"
+    assert meta["unused_options"] == "quad_degree,threads"
+    # a command that integrates the load uses the degree
+    res, _ = solve_smooth_u3(tmp_path / "solve", "--quad-degree", "5")
+    assert res.returncode == 0, res.stderr
+    assert read_meta(tmp_path / "solve")["unused_options"] == "threads"
+
+
+def test_run_meta_records_solver_and_peak_rss(tmp_path):
+    from amfem.assembly import SOLVER
+    res, _ = solve_smooth_u3(tmp_path / "solve")
+    assert res.returncode == 0, res.stderr
+    meta = read_meta(tmp_path / "solve")
+    assert meta["solver"] == SOLVER
+    assert float(meta["peak_rss_mb"]) > 1.0
+    # approx never solves, so it names no solver
+    res = run_cli("approx", "--benchmark", "checker_const", "--epsilon",
+                  "1e-3", "--out", str(tmp_path / "approx"))
+    assert res.returncode == 0, res.stderr
+    meta = read_meta(tmp_path / "approx")
+    assert "solver" not in meta and float(meta["peak_rss_mb"]) > 1.0
 
 
 def per_level_study(levels, **caps):
