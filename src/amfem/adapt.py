@@ -241,7 +241,7 @@ def _stop(hist, converged, k, mesh, max_iters, max_triangles):
 
 
 def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
-          monitors: bool = False, stage: str = "amfem"):
+          monitors: bool = False):
     """Adaptive loop: returns (mesh, solution, history).
 
     Stops when the total estimator drops below epsilon, or when the
@@ -293,7 +293,7 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
             patch = _patch_pos(mesh)[marked.edges]
             hist.monitors["n_patch"].append(len(np.unique(patch[patch >= 0])))
             new_mesh, bisected = refine_edges(mesh, marked)
-        hist.add(k=k, stage=stage, nT=mesh.nt, nE=mesh.ne, eta2=eta2,
+        hist.add(k=k, stage="amfem", nT=mesh.nt, nE=mesh.ne, eta2=eta2,
                  osc2=osc2, err=err, n_marked=len(marked),
                  n_bisected=len(bisected),
                  wall_ms=(time.perf_counter() - t0) * 1e3)
@@ -346,10 +346,7 @@ def two_stage(f, mesh0: Mesh, epsilon: float, params: AdaptParams,
     mesh_h, hist = approx(src, mesh0, 0.5 * epsilon,
                           max_triangles=params.max_triangles)
     fh = P0Source(mesh_h, src.cell_means(mesh_h))
-    stage2 = AdaptParams(epsilon=0.5 * epsilon, theta=params.theta,
-                         theta_tilde=0.0, mu=1.0,
-                         max_iters=params.max_iters,
-                         max_triangles=params.max_triangles)
+    stage2 = replace(params, epsilon=0.5 * epsilon, theta_tilde=0.0, mu=1.0)
     problem = ProblemSpec(f=fh, name="two_stage")
     mesh, sol, hist2 = amfem(mesh_h, problem, stage2, monitors=monitors)
     hist.extend(hist2)

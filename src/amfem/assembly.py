@@ -37,8 +37,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import quadrature
-from .fespace import (DofVector, RTSpace, P0Space, div_matrix, edge_normals,
-                      prolongate, rt_affine, rt_mass_matrix)
+from .fespace import (DofVector, RTSpace, div_matrix, prolongate, rt_affine,
+                      rt_mass_matrix)
 from .mesh import Mesh
 from .sources import as_source
 
@@ -99,9 +99,8 @@ class MixedSolution:
         return self._affine
 
 
-def assemble(mesh: Mesh, problem: ProblemSpec, space: RTSpace | None = None):
-    if space is None:
-        space = RTSpace(mesh)
+def assemble(mesh: Mesh, problem: ProblemSpec):
+    space = RTSpace(mesh)
     M = rt_mass_matrix(space)
     B = div_matrix(space)
     rhs_u = as_source(problem.f).cell_integrals(mesh)

@@ -44,7 +44,7 @@ __all__ = [
     "MeshFormatError", "NotNestedError",
     "load_mesh", "save_mesh", "initial_labeling",
     "bisect_triangle", "refine_edges", "uniform_refine",
-    "mesh_stats", "ancestor_map",
+    "mesh_stats", "triangle_angles", "ancestor_map",
 ]
 
 
@@ -509,23 +509,25 @@ def ancestor_map(fine, coarse):
     return out
 
 
+def triangle_angles(p):
+    """Interior angles in degrees, ascending per triangle, of the triangles
+    with vertex coordinates ``p`` of shape (n, 3, 2)."""
+    u = p[:, [1, 2, 0]] - p
+    w = p[:, [2, 0, 1]] - p
+    cosang = (u * w).sum(2) / (np.hypot(u[..., 0], u[..., 1])
+                               * np.hypot(w[..., 0], w[..., 1]))
+    return np.sort(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))), axis=1)
+
+
 def mesh_stats(mesh):
     """Summary dict: counts, minimum angle (degrees), max diameter,
     boundary edge count."""
-    tv = mesh.tri_verts[mesh.live]
-    p = mesh.points[tv]
-    angles = []
-    for i in range(3):
-        u = p[:, (i + 1) % 3] - p[:, i]
-        w = p[:, (i + 2) % 3] - p[:, i]
-        cosang = (u * w).sum(1) / (np.hypot(u[:, 0], u[:, 1])
-                                   * np.hypot(w[:, 0], w[:, 1]))
-        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
+    angles = triangle_angles(mesh.points[mesh.tri_verts[mesh.live]])
     return {
         "nv": mesh.nv,
         "nt": mesh.nt,
         "ne": mesh.ne,
-        "min_angle": float(np.min(angles)),
+        "min_angle": float(angles[:, 0].min()),
         "max_h": float(mesh.tri_h.max()),
         "n_boundary_edges": int(mesh.edge_boundary.sum()),
     }

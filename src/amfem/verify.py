@@ -25,12 +25,11 @@ from .adapt import (AdaptParams, ConvergenceHistory, MarkSet, amfem, approx,
                     _patch_pos)
 from .assembly import (ProblemSpec, SaddleSystem, error_sigma, solve,
                        solve_poisson)
-from .estimator import (EstimatorReport, estimate, indicator_edges,
-                        oscillation)
+from .estimator import EstimatorReport, estimate, indicator_edges
 from .fespace import (DofVector, RTSpace, P0Space, curl_p1, div_matrix,
                       div_rt, interpolate_rt, l2_project, prolongate,
                       rt_mass_matrix)
-from .mesh import Mesh, load_mesh, uniform_refine
+from .mesh import load_mesh, triangle_angles, uniform_refine
 from .sources import P0Source, as_source
 
 __all__ = ["Benchmark", "RateFit", "CheckResult", "fit_rate", "fit_points",
@@ -151,14 +150,10 @@ def lshape_sigma(x, y):
 
 @dataclass(frozen=True)
 class Benchmark:
-    """Named problem: a factory producing a fresh (mesh0, ProblemSpec) pair
-    plus the exact solution when one exists and expected convergence rates
-    (error exponent s in error ~ nT^-s under uniform/adaptive refinement)."""
+    """Named problem: a factory producing a fresh (mesh0, ProblemSpec)
+    pair."""
     name: str
     factory: object
-    u_exact: object = None
-    s_uniform: float = float("nan")
-    s_adaptive: float = float("nan")
 
     def make(self):
         return self.factory()
@@ -181,10 +176,8 @@ def _make_checker():
 
 
 _BENCHMARKS = {
-    "smooth_square": Benchmark("smooth_square", _make_smooth, smooth_u,
-                               s_uniform=0.5, s_adaptive=0.5),
-    "lshape_sing": Benchmark("lshape_sing", _make_lshape, lshape_u,
-                             s_uniform=1.0 / 3.0, s_adaptive=0.5),
+    "smooth_square": Benchmark("smooth_square", _make_smooth),
+    "lshape_sing": Benchmark("lshape_sing", _make_lshape),
     "checker_const": Benchmark("checker_const", _make_checker),
 }
 
@@ -578,49 +571,25 @@ def check_marking(seed=0):
 
 # -- mesh checks ----------------------------------------------------------------
 
-def _bisect_coords(p):
-    """Standalone newest-vertex bisection of one coordinate triple
-    (refinement edge opposite vertex 0)."""
-    m = 0.5 * (p[1] + p[2])
-    return (np.array([m, p[0], p[1]]), np.array([m, p[2], p[0]]))
-
-
-def _angles(p):
-    out = []
-    for i in range(3):
-        u = p[(i + 1) % 3] - p[i]
-        w = p[(i + 2) % 3] - p[i]
-        cosv = np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w))
-        out.append(np.degrees(np.arccos(np.clip(cosv, -1, 1))))
-    return np.sort(out)
-
-
-def shape_classes(coords, depth):
-    """Sorted angle triples of all descendants, grouped by generation.
-    The root refinement edge is taken opposite local vertex 0."""
-    gens = [[np.asarray(coords, dtype=float)]]
-    for _ in range(depth):
-        nxt = []
-        for p in gens[-1]:
-            nxt.extend(_bisect_coords(p))
-        gens.append(nxt)
-    return [[_angles(p) for p in g] for g in gens]
-
-
 def check_mesh(seed=0):
     out = []
-    # every generation-5 descendant is similar to some earlier shape
+    # every generation-5 descendant of an initial triangle is similar to
+    # one of its earlier descendants; three uniform rounds bisect every
+    # triangle six times, so the genealogy holds generations 0 to 6
     worst = 0.0
     for mesh in (unit_square_mesh(), lshape_mesh()):
+        fine = uniform_refine(mesh, 3)
+        gen = fine.tri_gen
+        root = np.arange(len(gen))
+        for g in range(1, gen.max() + 1):
+            at = gen == g
+            root[at] = root[fine.tri_parent[at]]
+        angles = triangle_angles(fine.points[fine.tri_verts])
         for t in mesh.live:
-            v = mesh.tri_verts[t]
-            r = mesh.tri_refedge[t]
-            p = mesh.points[v[[r, (r + 1) % 3, (r + 2) % 3]]]
-            gens = shape_classes(p, 5)
-            earlier = np.array([a for g in gens[:5] for a in g])
-            for ang in gens[5]:
-                gap = np.min(np.max(np.abs(earlier - ang), axis=1))
-                worst = max(worst, gap)
+            earlier = angles[(root == t) & (gen < 5)]
+            last = angles[(root == t) & (gen == 5)]
+            gap = np.abs(last[:, None] - earlier[None]).max(axis=2).min(axis=1)
+            worst = max(worst, gap.max())
     out.append(_leq("mesh.similarity_classes", worst, 1e-9))
 
     # refinement complexity: triangles created vs patches marked

@@ -108,13 +108,15 @@ def test_exit_one_on_bad_threads(tmp_path):
 
 def test_config_file_merging(tmp_path):
     cfg = tmp_path / "cfg"
-    cfg.write_text("theta = 0.9\nepsilon = 0.3\n# a comment\n")
+    cfg.write_text("theta = 0.9\nepsilon = 0.3\n# a comment\n"
+                   "theta-tilde = 0.4\n")
     res = run_cli("adapt", "--benchmark", "checker_const", "--config",
                   str(cfg), "--epsilon", "0.2", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     meta = (tmp_path / "run.meta").read_text()
     assert "theta=0.9" in meta              # from the config file
     assert "epsilon=0.2" in meta            # flag beats config
+    assert "theta_tilde=0.4" in meta        # either spelling of the key
 
 
 def test_out_env_variable(tmp_path):
@@ -254,7 +256,7 @@ def test_check_records_quad_degree_as_unused(tmp_path):
     # a command that integrates the load uses the degree
     res, _ = solve_smooth_u3(tmp_path / "solve", "--quad-degree", "5")
     assert res.returncode == 0, res.stderr
-    assert read_meta(tmp_path / "solve")["unused_options"] == "threads"
+    assert read_meta(tmp_path / "solve")["unused_options"] == "seed,threads"
 
 
 def test_run_meta_records_solver_and_peak_rss(tmp_path):
@@ -302,3 +304,74 @@ def test_adaptive_study_matches_per_level_runs(tmp_path, caps):
                   "--config", str(cfg), "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "study.csv").read_text() == per_level_study(3, **caps)
+
+
+def test_study_takes_the_loop_caps_as_flags(tmp_path):
+    res = run_cli("study", "--benchmark", "lshape_sing", "--levels", "3",
+                  "--max-iters", "2", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    assert ((tmp_path / "study.csv").read_text()
+            == per_level_study(3, max_iters=2))
+
+
+@pytest.mark.parametrize("value,stages", [
+    ("1", {"approx", "amfem"}), ("true", {"approx", "amfem"}),
+    ("0", {"amfem"}), ("False", {"amfem"})])
+def test_config_sets_two_stage(tmp_path, value, stages):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("two_stage = %s\n" % value)
+    res = run_cli("adapt", "--benchmark", "smooth_square", "--epsilon", "0.3",
+                  "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert res.returncode == 0, res.stderr
+    rows = (tmp_path / "out" / "history.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[1] for row in rows} == stages
+    meta = read_meta(tmp_path / "out")
+    assert meta["two_stage"] == str(stages != {"amfem"})
+
+
+@pytest.mark.parametrize("command,line", [
+    ("adapt", "epsilonn = 5"),          # no command declares it
+    ("adapt", "levels = 9"),            # a study option
+    ("approx", "max_iters = 9"),        # an adapt and study option
+    ("approx", "theta = 0.9"),          # not an abbreviation of theta_osc
+    ("adapt", "two_stage = yes"),       # not a boolean spelling
+    ("adapt", "epsilon = small"),
+    ("adapt", "config = other"),
+])
+def test_bad_config_key_exits_one(tmp_path, command, line):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    res = run_cli(command, "--benchmark", "checker_const", "--config",
+                  str(cfg), "--out", str(out))
+    assert res.returncode == 1
+    assert "error:" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("adapt", "--benchmark", "nope"),
+    ("adapt", "--benchmark", "checker_const", "--bogus", "1"),
+    ("adapt", "--benchmark", "checker_const", "--eps", "0.3"),
+    ("approx", "--benchmark", "checker_const", "--max-iters", "3"),
+    ("study",),
+    (),
+])
+def test_usage_errors_exit_one(tmp_path, args):
+    out = tmp_path / "out"
+    res = run_cli(*args, "--out", str(out))
+    assert res.returncode == 1
+    assert "error:" in res.stderr
+    assert not out.exists()
+
+
+def test_run_meta_lists_the_options_of_the_command_only(tmp_path):
+    res = run_cli("approx", "--benchmark", "checker_const", "--epsilon",
+                  "1e-3", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    meta = read_meta(tmp_path)
+    for key in ("theta", "theta_tilde", "mu", "levels", "refine_uniform",
+                "max_iters", "two_stage", "uniform", "suite", "mode"):
+        assert key not in meta
+    assert meta["theta_osc"] == "0.5" and meta["max_triangles"] == "300000"
+    assert meta["epsilon"] == "0.001"
