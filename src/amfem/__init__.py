@@ -8,16 +8,15 @@ variant that preprocesses the data oscillation.
 
 __version__ = "0.1.0"
 
-from .mesh import (Mesh, Edge, MeshFormatError, NotNestedError, load_mesh,
+from .mesh import (Mesh, MeshFormatError, NotNestedError, load_mesh,
                    save_mesh, initial_labeling, bisect_triangle, refine_edges,
                    uniform_refine, mesh_stats)
 from .sources import FunctionSource, P0Source, as_source
-from .fespace import (RTSpace, P0Space, P1Space, DofVector, eval_rt, div_rt,
-                      l2_project, interpolate_rt, prolongate, curl_p1, grad_h)
+from .fespace import (RTSpace, DofVector, div_rt, l2_project, interpolate_rt,
+                      prolongate, curl_p1)
 from .assembly import (ProblemSpec, SaddleSystem, MixedSolution, SolverError,
                        assemble, solve, solve_poisson, error_sigma)
-from .estimator import (EstimatorReport, jump, eta_edge, eta_total,
-                        oscillation, estimate)
+from .estimator import EstimatorReport, oscillation, estimate
 from .adapt import (AdaptParams, MarkSet, ConvergenceHistory, dorfler_mark,
                     osc_mark, amfem, approx, two_stage)
 

@@ -29,7 +29,8 @@ from .mesh import Mesh, ancestor_map, refine_edges
 from .sources import P0Source, as_source
 
 __all__ = ["AdaptParams", "MarkSet", "HistoryRecord", "ConvergenceHistory",
-           "dorfler_mark", "osc_mark", "amfem", "approx", "two_stage"]
+           "dorfler_mark", "osc_mark", "amfem", "approx", "two_stage",
+           "two_stage_settings"]
 
 HISTORY_COLUMNS = ("k", "stage", "nT", "nE", "eta2", "osc2", "err",
                    "n_marked", "n_bisected", "wall_ms")
@@ -257,7 +258,7 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
     hist.monitors = {"upper_ratio": [], "n_gone": [], "n_patch": []}
     mesh = mesh0
     osc0 = None
-    prev = None     # (mesh, flux, report) of the previous step
+    prev = None     # (mesh, flux, report, marked) of the previous step
     k = 0
     while True:
         t0 = time.perf_counter()
@@ -271,9 +272,11 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
             osc0 = np.sqrt(osc2)
 
         if monitors and prev is not None:
-            pmesh, psigma, preport = prev
+            pmesh, psigma, preport, pmarked = prev
             gone = _combinatorial_check(pmesh, mesh)
             hist.monitors["n_gone"].append(len(gone))
+            patch = _patch_pos(pmesh)[pmarked.edges]
+            hist.monitors["n_patch"].append(len(np.unique(patch[patch >= 0])))
             d = sol.sigma.values - prolongate(psigma, mesh).values
             num = float(d @ (rt_mass_matrix(sol.space) @ d))
             den = float(preport.eta2_edges[gone].sum()) + _coarse_osc2(
@@ -290,8 +293,6 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
             marked = dorfler_mark(report, params.theta)
             if np.sqrt(osc2) > osc0 * params.mu ** k:
                 marked = osc_mark(report, params.theta_tilde, marked, mesh)
-            patch = _patch_pos(mesh)[marked.edges]
-            hist.monitors["n_patch"].append(len(np.unique(patch[patch >= 0])))
             new_mesh, bisected = refine_edges(mesh, marked)
         hist.add(k=k, stage="amfem", nT=mesh.nt, nE=mesh.ne, eta2=eta2,
                  osc2=osc2, err=err, n_marked=len(marked),
@@ -299,7 +300,7 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
                  wall_ms=(time.perf_counter() - t0) * 1e3)
         if done:
             return mesh, sol, hist
-        prev = (mesh, sol.sigma, report)
+        prev = (mesh, sol.sigma, report, marked)
         mesh = new_mesh
         k += 1
 
@@ -337,17 +338,28 @@ def approx(f, mesh0: Mesh, epsilon: float, theta_osc: float = 0.5,
         k += 1
 
 
+def two_stage_settings(epsilon: float):
+    """The keywords ``two_stage`` sets for each stage: for the stage-1
+    ``approx`` call, whose other keywords keep their defaults, and over the
+    fields of ``params`` in the stage-2 loop.  Each stage gets half the
+    tolerance.  Stage 2's data is piecewise constant, with zero oscillation
+    on every mesh, so it never marks for oscillation."""
+    return ({"epsilon": 0.5 * epsilon},
+            {"epsilon": 0.5 * epsilon, "theta_tilde": 0.0, "mu": 1.0})
+
+
 def two_stage(f, mesh0: Mesh, epsilon: float, params: AdaptParams,
               monitors: bool = False):
     """Data approximation to epsilon/2, then the adaptive loop on the
     projected piecewise-constant data to epsilon/2.  Returns
     (mesh, solution, history) with stage-tagged records."""
+    stage1, stage2 = two_stage_settings(epsilon)
     src = as_source(f)
-    mesh_h, hist = approx(src, mesh0, 0.5 * epsilon,
-                          max_triangles=params.max_triangles)
+    mesh_h, hist = approx(src, mesh0, max_triangles=params.max_triangles,
+                          **stage1)
     fh = P0Source(mesh_h, src.cell_means(mesh_h))
-    stage2 = replace(params, epsilon=0.5 * epsilon, theta_tilde=0.0, mu=1.0)
     problem = ProblemSpec(f=fh, name="two_stage")
-    mesh, sol, hist2 = amfem(mesh_h, problem, stage2, monitors=monitors)
+    mesh, sol, hist2 = amfem(mesh_h, problem, replace(params, **stage2),
+                             monitors=monitors)
     hist.extend(hist2)
     return mesh, sol, hist

@@ -37,7 +37,7 @@ import numpy as np
 import scipy
 
 from . import __version__, quadrature
-from .adapt import AdaptParams, amfem, approx, two_stage
+from .adapt import AdaptParams, amfem, approx, two_stage, two_stage_settings
 from .assembly import (SOLVER, ProblemSpec, SolverError, solve_poisson,
                        error_sigma)
 from .estimator import estimate, report_to_csv
@@ -205,10 +205,21 @@ def _write(outdir, name, text):
     return path
 
 
-# options a command accepts and records but that take no effect: amfem runs
-# in one thread, only the check suites draw random numbers, and they build
-# their own problems
-_UNUSED = {"check": "quad_degree,threads"}
+def _unused_options(args):
+    """The options of the command that ran which took no effect: amfem runs
+    in one thread, only the check suites draw random numbers and they build
+    their own problems, a uniform study reads none of the loop options, and
+    ``two_stage`` sets some of them itself."""
+    if args.command == "check":
+        return ["quad_degree", "threads"]
+    opts = vars(args)
+    unused = {"seed", "threads"}
+    if opts.get("uniform") is not None or opts.get("mode") == "uniform":
+        unused.update(name for name in ("two_stage", *asdict(AdaptParams()))
+                      if name in opts)
+    elif opts.get("two_stage"):
+        unused.update(set(two_stage_settings(args.epsilon)[1]) - {"epsilon"})
+    return sorted(unused)
 
 
 def _write_meta(args, wall_ms, extra=None):
@@ -222,8 +233,7 @@ def _write_meta(args, wall_ms, extra=None):
     lines.append("scipy_version=%s" % scipy.__version__)
     lines.append("python_version=%s" % sys.version.split()[0])
     lines.append("wall_ms=%.3f" % wall_ms)
-    lines.append("unused_options=%s" % _UNUSED.get(args.command,
-                                                   "seed,threads"))
+    lines.append("unused_options=%s" % ",".join(_unused_options(args)))
     if args.command != "approx":
         lines.append("solver=%s" % SOLVER)
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -258,7 +268,8 @@ def _cmd_solve(args):
         mesh, problem = _make(args)
         label = args.benchmark
     else:
-        mesh = load_mesh(open(args.mesh).read())
+        with open(args.mesh) as fh:
+            mesh = load_mesh(fh.read())
         problem = ProblemSpec(f=FunctionSource(lambda x, y: np.ones_like(x),
                                                args.quad_degree),
                               name="unit-load")
@@ -276,6 +287,7 @@ def _cmd_adapt(args):
     t0 = time.perf_counter()
     mesh0, problem = _make(args)
     params = _params(args, args.epsilon)
+    stages = {}
     if args.uniform is not None:
         hist = uniform_study(mesh0, problem, args.uniform)
         status = "uniform"
@@ -283,6 +295,12 @@ def _cmd_adapt(args):
     elif args.two_stage:
         mesh, sol, hist = two_stage(problem.f, mesh0, args.epsilon, params)
         status = hist.status
+        stage1, stage2 = two_stage_settings(args.epsilon)
+        stage1 = {"theta_osc": _default(approx, "theta_osc"),
+                  "max_iters": _default(approx, "max_iters"), **stage1}
+        for stage, settings in (("stage1", stage1), ("stage2", stage2)):
+            stages.update(("%s_%s" % (stage, key), val)
+                          for key, val in sorted(settings.items()))
     else:
         mesh, sol, hist = amfem(mesh0, problem, params)
         status = hist.status
@@ -293,7 +311,7 @@ def _cmd_adapt(args):
     else:
         last = hist.records[-1]
         summary = "nT=%d nE=%d eta2=%s" % (last.nT, last.nE, repr(last.eta2))
-    extra = {"status": status, "iterations": len(hist.records) - 1}
+    extra = {"status": status, "iterations": len(hist.records) - 1, **stages}
     try:
         extra["rate_s"] = "%r" % fit_rate(hist, "eta").s
     except ValueError:

@@ -23,8 +23,8 @@ from .fespace import DofVector, RTSpace, rt_affine
 from .mesh import Mesh
 from .sources import as_source
 
-__all__ = ["EstimatorReport", "jump", "eta_edge", "eta_total", "oscillation",
-           "estimate", "edge_jumps", "indicator_edges", "report_to_csv"]
+__all__ = ["EstimatorReport", "oscillation", "estimate", "indicator_edges",
+           "report_to_csv"]
 
 
 @dataclass
@@ -59,12 +59,6 @@ def _jumps_from_affine(mesh, a0, c):
     return ja, jb
 
 
-def edge_jumps(sigma: DofVector):
-    """Tangential jump of a flux field at both endpoints of every edge."""
-    a0, c = rt_affine(RTSpace(sigma.mesh), sigma.values)
-    return _jumps_from_affine(sigma.mesh, a0, c)
-
-
 def _eta2_from_affine(mesh, a0, c):
     ja, jb = _jumps_from_affine(mesh, a0, c)
     g, w = quadrature.edge_rule()
@@ -80,45 +74,15 @@ def indicator_edges(sigma: DofVector):
     return _eta2_from_affine(sigma.mesh, a0, c)
 
 
-def _eta2_of(sol: MixedSolution):
-    a0, c = sol.affine()
-    return _eta2_from_affine(sol.mesh, a0, c)
-
-
-def _eid(edge):
-    return int(getattr(edge, "id", edge))
-
-
-def jump(sol: MixedSolution, edge):
-    """Endpoint values (J_a, J_b) of the linear tangential jump on an edge."""
-    a0, c = sol.affine()
-    ja, jb = _jumps_from_affine(sol.mesh, a0, c)
-    e = _eid(edge)
-    return float(ja[e]), float(jb[e])
-
-
-def eta_edge(sol: MixedSolution, edge):
-    """Indicator value of a single edge (square root of the edge part)."""
-    return float(np.sqrt(_eta2_of(sol)[_eid(edge)]))
-
-
-def eta_total(sol: MixedSolution, edge_ids=None):
-    """Indicator over a set of edge ids (all by default): sqrt of the sum
-    of squared edge contributions."""
-    eta2 = _eta2_of(sol)
-    if edge_ids is None:
-        return float(np.sqrt(eta2.sum()))
-    idx = np.asarray([_eid(e) for e in edge_ids], dtype=np.int64)
-    return float(np.sqrt(eta2[idx].sum())) if idx.size else 0.0
-
-
 def oscillation(f, mesh: Mesh):
     """Squared data oscillation per live triangle, h_T^2 |f - f_T|^2."""
     return mesh.tri_h ** 2 * as_source(f).cell_osc2(mesh)
 
 
 def estimate(sol: MixedSolution, f) -> EstimatorReport:
-    return EstimatorReport(sol.mesh, _eta2_of(sol), oscillation(f, sol.mesh))
+    a0, c = sol.affine()
+    return EstimatorReport(sol.mesh, _eta2_from_affine(sol.mesh, a0, c),
+                           oscillation(f, sol.mesh))
 
 
 def report_to_csv(report: EstimatorReport):

@@ -4,8 +4,10 @@ RTSpace   flux space: per triangle a + c*x, normal component continuous
           across edges; one degree of freedom per edge, the total normal
           flux integral with respect to the global edge normal (the tangent
           a -> b for a < b rotated by -90 degrees).
-P0Space   piecewise constants, one dof per live triangle (live order).
-P1Space   continuous piecewise linears, one dof per vertex.
+
+A field is a ``DofVector`` tagged with its kind: "RT" (one value per edge),
+"P0" (piecewise constants, one value per live triangle in live order) or
+"P1" (continuous piecewise linears, one value per vertex).
 
 The local flux basis attached to edge i (opposite vertex P_i) of triangle T
 is s * (x - P_i) / (2|T|), where s = +1 when T lies left of the edge
@@ -18,40 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import quadrature
 from .mesh import Mesh, ancestor_map
 from .sources import as_source
 
-__all__ = ["RTSpace", "P0Space", "P1Space", "DofVector",
-           "eval_rt", "div_rt", "l2_project", "interpolate_rt",
-           "prolongate", "curl_p1", "grad_h",
-           "rt_mass_matrix", "div_matrix", "dof_to_text", "dof_from_text"]
+__all__ = ["RTSpace", "DofVector", "div_rt", "l2_project", "interpolate_rt",
+           "prolongate", "curl_p1", "rt_mass_matrix", "div_matrix",
+           "dof_to_text", "dof_from_text"]
 
 
 class RTSpace:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.ndof = mesh.ne
         self._mass = None
-        self._mass_lu = None
 
     def opp_coords(self):
         """(nl, 3, 2) coordinates of the vertex opposite each local edge."""
         return self.mesh.points[self.mesh.tri_verts[self.mesh.live]]
-
-
-class P0Space:
-    def __init__(self, mesh: Mesh):
-        self.mesh = mesh
-        self.ndof = mesh.nt
-
-
-class P1Space:
-    def __init__(self, mesh: Mesh):
-        self.mesh = mesh
-        self.ndof = mesh.nv
 
 
 _KINDS = ("RT", "P0", "P1")
@@ -85,7 +71,7 @@ def dof_from_text(text, mesh):
                         for line in text.splitlines()) if r]
     head = rows[0].split() if rows else []
     if len(head) != 4 or head[:2] != ["amfemdof", "1"] or head[2] not in _KINDS:
-        raise ValueError("expected header 'amfemdof 1 <space> <ndof>'")
+        raise ValueError("expected header 'amfemdof 1 <space> <n>'")
     n = int(head[3])
     if len(rows) != 1 + n:
         raise ValueError("expected %d coefficients, found %d" % (n, len(rows) - 1))
@@ -97,7 +83,7 @@ def dof_from_text(text, mesh):
     return DofVector(head[2], vals, mesh)
 
 
-# -- pointwise evaluation ---------------------------------------------------
+# -- per-triangle affine form ----------------------------------------------
 
 def _signed_coeffs(space, values):
     m = space.mesh
@@ -115,44 +101,19 @@ def rt_affine(space, values):
     return a0, c
 
 
-def _bary(mesh, t, point):
-    v = mesh.points[mesh.tri_verts[t]]
-    T = np.column_stack([v[1] - v[0], v[2] - v[0]])
-    lam = np.linalg.solve(T, np.asarray(point, dtype=float) - v[0])
-    return np.array([1.0 - lam.sum(), lam[0], lam[1]])
-
-
-def eval_rt(space, dof, t, point):
-    """Flux field value at a point of live triangle t."""
-    m = space.mesh
-    pos = m.live_pos[t]
-    if pos < 0:
-        raise ValueError("triangle %d is not live" % t)
-    if _bary(m, t, point).min() < -1e-12:
-        raise ValueError("point %r lies outside triangle %d" % (point, t))
-    a0, c = rt_affine(space, dof.values)
-    return a0[pos] + c[pos] * np.asarray(point, dtype=float)
-
-
-def div_rt(space, dof, t=None):
-    """Divergence, constant per triangle; all live triangles when t is None."""
+def div_rt(space, dof):
+    """Divergence, constant per triangle, of every live triangle."""
     m = space.mesh
     cs = _signed_coeffs(space, dof.values)
-    div = cs.sum(axis=1) / m.tri_area
-    if t is None:
-        return div
-    pos = m.live_pos[t]
-    if pos < 0:
-        raise ValueError("triangle %d is not live" % t)
-    return float(div[pos])
+    return cs.sum(axis=1) / m.tri_area
 
 
 # -- interpolation and projection ------------------------------------------
 
-def l2_project(f, space: P0Space) -> DofVector:
+def l2_project(f, mesh: Mesh) -> DofVector:
     """Cell means of f: the L2 projection onto piecewise constants."""
     src = as_source(f)
-    return DofVector("P0", src.cell_means(space.mesh), space.mesh)
+    return DofVector("P0", src.cell_means(mesh), mesh)
 
 
 def edge_normals(mesh):
@@ -163,7 +124,7 @@ def edge_normals(mesh):
 
 
 def interpolate_rt(tau, space: RTSpace) -> DofVector:
-    """Edge-flux interpolant: dof on E is the 2-point Gauss approximation of
+    """RT interpolant: the dof on E is the 2-point Gauss approximation of
     the flux integral of tau across E (exact for components of degree <= 3)."""
     m = space.mesh
     a = m.points[m.edge_verts[:, 0]]
@@ -215,21 +176,6 @@ def curl_p1(psi: DofVector) -> DofVector:
     m = psi.mesh
     vals = psi.values[m.edge_verts[:, 1]] - psi.values[m.edge_verts[:, 0]]
     return DofVector("RT", vals, m)
-
-
-def grad_h(v: DofVector, space: RTSpace | None = None) -> DofVector:
-    """Discrete gradient: the RT field g with (g, tau) = -(v, div tau) for
-    all tau, i.e. the L2 Riesz lift of the divergence functional."""
-    if v.kind != "P0":
-        raise ValueError("grad_h takes a P0 field")
-    if space is None:
-        space = RTSpace(v.mesh)
-    M = rt_mass_matrix(space)
-    B = div_matrix(space)
-    if space._mass_lu is None:
-        space._mass_lu = spla.splu(M.tocsc())
-    g = space._mass_lu.solve(-(B.T @ v.values))
-    return DofVector("RT", g, space.mesh)
 
 
 # -- matrices ---------------------------------------------------------------

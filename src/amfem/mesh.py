@@ -18,8 +18,8 @@ triangle rows keep their ids and are a prefix of the refined mesh's.  New
 vertices are the midpoints of the split edges, numbered from ``nv`` in
 ascending input edge id.  New rows come two per bisection, level by level:
 first the children of the bisected input triangles in ascending id order,
-then the children of those children that split again, in id order.  Edge
-ids are recomputed for every mesh, in lexicographic (min vid, max vid)
+then the children of those children that split again, in id order.  The
+edge ids are recomputed for every mesh, in lexicographic (min vid, max vid)
 order.  Ids beyond those of the input mesh are not stable across versions
 of amfem; compare meshes from different versions by vertex coordinates.
 
@@ -35,12 +35,10 @@ genealogy is not preserved across a save/load round trip.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Mesh", "Edge",
+    "Mesh",
     "MeshFormatError", "NotNestedError",
     "load_mesh", "save_mesh", "initial_labeling",
     "bisect_triangle", "refine_edges", "uniform_refine",
@@ -56,19 +54,6 @@ class NotNestedError(ValueError):
     """Two meshes do not belong to the same refinement hierarchy."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Edge of the live mesh.  ``verts`` is (a, b) with a < b; the unit
-    tangent points a -> b and ``incident`` lists the left triangle first
-    when it exists."""
-    id: int
-    verts: tuple
-    tangent: tuple
-    boundary: bool
-    incident: tuple
-    length: float
-
-
 class Mesh:
     """Immutable conforming triangulation plus its refinement genealogy.
 
@@ -81,8 +66,8 @@ class Mesh:
     alive       (nt_all,) live flags;  live = ids of live triangles
     live_pos    (nt_all,) position of a live triangle in ``live``, else -1
 
-    Edge tables are rebuilt for the live triangles on construction; edge ids
-    are assigned in lexicographic (min vid, max vid) order:
+    The edge tables are rebuilt for the live triangles on construction; edge
+    ids are assigned in lexicographic (min vid, max vid) order:
 
     edge_verts  (ne, 2) with a < b
     edge_tri    (ne, 2) [left, right] triangle ids, -1 when absent
@@ -103,7 +88,6 @@ class Mesh:
         self.tri_children = np.asarray(tri_children, dtype=np.int64).reshape(-1, 2)
         self.alive = np.asarray(alive, dtype=bool)
         self._root = root if root is not None else object()
-        self._caches = {}
         finite = np.isfinite(self.points).all(axis=1)
         if not finite.all():
             raise MeshFormatError("vertex %d has a non-finite coordinate"
@@ -178,7 +162,7 @@ class Mesh:
                 "ne=%d, nv=%d, nt=%d violate ne = nv + nt - 1"
                 % (ne, nv, live.size))
 
-    # -- public counters and object views --------------------------------
+    # -- counts ---------------------------------------------------------
 
     @property
     def nv(self):
@@ -191,28 +175,6 @@ class Mesh:
     @property
     def ne(self):
         return len(self.edge_verts)
-
-    @property
-    def edges(self):
-        if "edges" not in self._caches:
-            out = []
-            for i in range(self.ne):
-                a, b = (int(v) for v in self.edge_verts[i])
-                vec = self.points[b] - self.points[a]
-                length = float(self.edge_len[i])
-                tangent = (float(vec[0] / length), float(vec[1] / length))
-                inc = tuple(int(t) for t in self.edge_tri[i] if t >= 0)
-                out.append(Edge(i, (a, b), tangent,
-                                bool(self.edge_boundary[i]), inc, length))
-            self._caches["edges"] = out
-        return self._caches["edges"]
-
-    def refedge_verts(self, t):
-        """Vertex pair (a, b), a < b, of triangle t's refinement edge."""
-        v = self.tri_verts[t]
-        r = self.tri_refedge[t]
-        a, b = int(v[(r + 1) % 3]), int(v[(r + 2) % 3])
-        return (a, b) if a < b else (b, a)
 
 
 # -- construction and I/O -------------------------------------------------

@@ -24,14 +24,14 @@ class FunctionSource:
     def __init__(self, f, degree=quadrature.DEFAULT_DEGREE):
         self.f = f
         self.degree = degree
-        self._bary, self._w = quadrature.tri_rule(degree)
+        self._nodes, self._w = quadrature.tri_rule(degree)
         self._mesh = self._vals = None
 
     def _values(self, mesh):
         if mesh is not self._mesh:
             self._mesh = self._vals = None     # never hold two meshes' values
             pts = quadrature.tri_points(mesh.points[mesh.tri_verts[mesh.live]],
-                                        self._bary)
+                                        self._nodes)
             self._vals = np.asarray(self.f(pts[..., 0], pts[..., 1]),
                                     dtype=float)
             self._mesh = mesh

@@ -26,9 +26,8 @@ from .adapt import (AdaptParams, ConvergenceHistory, MarkSet, amfem, approx,
 from .assembly import (ProblemSpec, SaddleSystem, error_sigma, solve,
                        solve_poisson)
 from .estimator import EstimatorReport, estimate, indicator_edges
-from .fespace import (DofVector, RTSpace, P0Space, curl_p1, div_matrix,
-                      div_rt, interpolate_rt, l2_project, prolongate,
-                      rt_mass_matrix)
+from .fespace import (DofVector, RTSpace, curl_p1, div_matrix, div_rt,
+                      interpolate_rt, l2_project, prolongate, rt_mass_matrix)
 from .mesh import load_mesh, triangle_angles, uniform_refine
 from .sources import P0Source, as_source
 
@@ -298,8 +297,9 @@ def _curl_matrix(mesh):
 
 
 def helmholtz_split(sigma: DofVector):
-    """Split a flux field into curl(P1) + grad_h(P0) parts; returns
-    (psi, phi, curl_part, grad_part) as typed dof vectors."""
+    """Split a flux field into the curl of a P1 field plus the discrete
+    gradient of a P0 field; returns (psi, phi, curl_part, grad_part) as
+    typed dof vectors."""
     mesh = sigma.mesh
     space = RTSpace(mesh)
     M = rt_mass_matrix(space)
@@ -403,10 +403,9 @@ def check_commuting(seed=0):
     interpolant, field by field, triangle by triangle."""
     mesh = uniform_refine(unit_square_mesh(), 3)
     space = RTSpace(mesh)
-    p0 = P0Space(mesh)
     out = []
     for name, tau, dtau in _COMMUTING_FIELDS:
-        lhs = l2_project(dtau, p0).values
+        lhs = l2_project(dtau, mesh).values
         rhs = div_rt(space, interpolate_rt(tau, space))
         out.append(_leq("identities.commuting.%s" % name,
                         np.max(np.abs(lhs - rhs)), 1e-12))

@@ -193,6 +193,19 @@ def test_amfem_combinatorial_monitor():
     ratios = hist.monitors["upper_ratio"]
     assert len(ratios) == len(n_gone)
     assert max(ratios) < 10.0
+    # triangles in the patches of each step's marked edges
+    n_patch = hist.monitors["n_patch"]
+    n_marked = hist.column("n_marked")
+    assert len(n_patch) == len(n_gone)
+    for k, count in enumerate(n_patch):
+        assert 0 < count <= 2 * n_marked[k]
+
+
+def test_amfem_without_monitors_records_none():
+    mesh0, prob = benchmark("lshape_sing").make()
+    _, _, hist = amfem(mesh0, prob, AdaptParams(epsilon=0.3))
+    assert len(hist.records) > 2
+    assert hist.monitors == {"upper_ratio": [], "n_gone": [], "n_patch": []}
 
 
 def test_approx_reduces_oscillation_to_tolerance():

@@ -3,7 +3,7 @@ import pytest
 
 from amfem.assembly import (ProblemSpec, SolverError, assemble, error_sigma,
                             solve, solve_poisson)
-from amfem.fespace import interpolate_rt, l2_project, P0Space, RTSpace
+from amfem.fespace import interpolate_rt, l2_project, RTSpace
 from amfem.mesh import uniform_refine
 from amfem.sources import FunctionSource, P0Source
 from amfem.verify import (lshape_mesh, smooth_f, smooth_sigma, smooth_u,
@@ -82,7 +82,7 @@ def test_linear_solution_with_boundary_data_is_exact():
     want_sigma = interpolate_rt(
         lambda x, y: (-np.ones_like(x), np.zeros_like(y)), RTSpace(m))
     assert np.max(np.abs(sol.sigma.values - want_sigma.values)) < 1e-12
-    want_u = l2_project(FunctionSource(lambda x, y: x), P0Space(m))
+    want_u = l2_project(FunctionSource(lambda x, y: x), m)
     assert np.max(np.abs(sol.u.values - want_u.values)) < 1e-12
 
 

@@ -76,6 +76,18 @@ def test_solve_mesh_file_input(tmp_path):
     assert "nT=8" in res.stdout
 
 
+def test_solve_mesh_file_is_closed(tmp_path):
+    mesh_file = tmp_path / "m.txt"
+    mesh_file.write_text("amfemmesh 1\n4 2\n0 0\n1 0\n1 1\n0 1\n"
+                         "0 1 2 -\n0 2 3 -\n")
+    res = subprocess.run([sys.executable, "-W", "error::ResourceWarning",
+                          "-m", "amfem.cli", "solve", "--mesh",
+                          str(mesh_file), "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert "ResourceWarning" not in res.stderr
+
+
 def test_exit_one_on_bad_mesh(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a mesh\n")
@@ -146,6 +158,27 @@ def test_adapt_two_stage(tmp_path):
     assert ",approx," in text and ",amfem," in text
 
 
+def test_adapt_two_stage_records_the_stage_settings(tmp_path):
+    res = run_cli("adapt", "--benchmark", "smooth_square", "--epsilon",
+                  "0.3", "--two-stage", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    meta = read_meta(tmp_path)
+    assert meta["stage1_theta_osc"] == "0.5"
+    assert meta["stage1_max_iters"] == "100"
+    assert meta["stage1_epsilon"] == "0.15"
+    assert meta["stage2_epsilon"] == "0.15"
+    assert meta["stage2_theta_tilde"] == "0.0"
+    assert meta["stage2_mu"] == "1.0"
+    assert meta["unused_options"] == "mu,seed,theta_tilde,threads"
+    # the plain loop reads theta_tilde and mu and records no stages
+    res = run_cli("adapt", "--benchmark", "smooth_square", "--epsilon",
+                  "0.3", "--out", str(tmp_path / "plain"))
+    assert res.returncode == 0, res.stderr
+    meta = read_meta(tmp_path / "plain")
+    assert meta["unused_options"] == "seed,threads"
+    assert not any(key.startswith("stage") for key in meta)
+
+
 def test_adapt_uniform_mode(tmp_path):
     res = run_cli("adapt", "--benchmark", "smooth_square", "--uniform", "3",
                   "--out", str(tmp_path))
@@ -153,6 +186,15 @@ def test_adapt_uniform_mode(tmp_path):
     lines = (tmp_path / "history.csv").read_text().strip().splitlines()
     assert len(lines) == 5
     assert "status=uniform" in res.stdout
+
+
+def test_adapt_uniform_records_the_loop_options_as_unused(tmp_path):
+    res = run_cli("adapt", "--benchmark", "smooth_square", "--uniform", "1",
+                  "--two-stage", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    assert read_meta(tmp_path)["unused_options"].split(",") == [
+        "epsilon", "max_iters", "max_triangles", "mu", "seed", "theta",
+        "theta_tilde", "threads", "two_stage"]
 
 
 def test_approx_command(tmp_path):
@@ -171,6 +213,16 @@ def test_study_command(tmp_path):
     lines = (tmp_path / "study.csv").read_text().strip().splitlines()
     assert lines[0] == "level,nT,nE,eta2,osc2,err"
     assert len(lines) == 4
+    assert read_meta(tmp_path)["unused_options"] == "seed,threads"
+
+
+def test_uniform_study_records_the_loop_options_as_unused(tmp_path):
+    res = run_cli("study", "--benchmark", "checker_const", "--mode",
+                  "uniform", "--levels", "2", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    assert read_meta(tmp_path)["unused_options"].split(",") == [
+        "max_iters", "max_triangles", "mu", "seed", "theta", "theta_tilde",
+        "threads"]
 
 
 def test_check_single_suite(tmp_path):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from amfem.fespace import (DofVector, P0Space, P1Space, RTSpace, curl_p1,
-                           div_matrix, div_rt, dof_from_text, dof_to_text,
-                           edge_normals, eval_rt, grad_h, interpolate_rt,
-                           l2_project, prolongate, rt_affine,
+from amfem.fespace import (DofVector, RTSpace, curl_p1, div_matrix, div_rt,
+                           dof_from_text, dof_to_text, edge_normals,
+                           interpolate_rt, l2_project, prolongate, rt_affine,
                            rt_mass_matrix)
 from amfem.mesh import load_mesh, uniform_refine
 from amfem.quadrature import tri_points, tri_rule
@@ -35,11 +34,11 @@ def random_interior_points(mesh, rng, n=20):
     return out
 
 
-def test_space_dimensions():
-    m = uniform_refine(unit_square_mesh())
-    assert RTSpace(m).ndof == m.ne
-    assert P0Space(m).ndof == m.nt
-    assert P1Space(m).ndof == m.nv
+def flux_at(mesh, a0, c, t, p):
+    """Value at point p of live triangle t of the field whose affine form
+    ``rt_affine`` returned as (a0, c)."""
+    pos = mesh.live_pos[t]
+    return a0[pos] + c[pos] * p
 
 
 def test_reference_mass_matrix_closed_form():
@@ -76,8 +75,8 @@ def test_basis_unit_normal_on_unit_edges():
         assert tuple(m.edge_verts[e]) == pair
         vals = np.zeros(m.ne)
         vals[e] = 1.0
-        dof = DofVector("RT", vals, m)
-        sig = eval_rt(space, dof, int(m.live[0]), np.array(mid))
+        a0, c = rt_affine(space, vals)
+        sig = flux_at(m, a0, c, m.live[0], np.array(mid))
         assert float(sig @ n[e]) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -89,11 +88,11 @@ def test_basis_vanishing_normal_trace_on_other_edges():
     for e in range(3):
         vals = np.zeros(m.ne)
         vals[e] = 1.0
-        dof = DofVector("RT", vals, m)
+        a0, c = rt_affine(space, vals)
         for other, mid in mids.items():
             if other == e:
                 continue
-            sig = eval_rt(space, dof, int(m.live[0]), np.array(mid))
+            sig = flux_at(m, a0, c, m.live[0], np.array(mid))
             assert abs(float(sig @ n[other])) < 1e-14
 
 
@@ -102,10 +101,10 @@ def test_constant_field_reproduced():
     space = RTSpace(m)
     dof = interpolate_rt(lambda x, y: (2.0 * np.ones_like(x),
                                        -1.0 * np.ones_like(y)), space)
+    a0, c = rt_affine(space, dof.values)
     rng = np.random.default_rng(0)
     for t, p in random_interior_points(m, rng):
-        assert np.allclose(eval_rt(space, dof, t, p), (2.0, -1.0),
-                           atol=1e-13)
+        assert np.allclose(flux_at(m, a0, c, t, p), (2.0, -1.0), atol=1e-13)
     assert np.allclose(div_rt(space, dof), 0.0, atol=1e-12)
 
 
@@ -115,36 +114,17 @@ def test_radial_field_reproduced_with_divergence_two():
     m = uniform_refine(unit_square_mesh(), 2)
     space = RTSpace(m)
     dof = interpolate_rt(lambda x, y: (x, y), space)
+    a0, c = rt_affine(space, dof.values)
     rng = np.random.default_rng(1)
     for t, p in random_interior_points(m, rng):
-        assert np.allclose(eval_rt(space, dof, t, p), p, atol=1e-13)
+        assert np.allclose(flux_at(m, a0, c, t, p), p, atol=1e-13)
     assert np.allclose(div_rt(space, dof), 2.0, atol=1e-12)
-
-
-def test_affine_representation_matches_eval():
-    m = uniform_refine(unit_square_mesh())
-    space = RTSpace(m)
-    rng = np.random.default_rng(2)
-    vals = rng.standard_normal(m.ne)
-    a0, c = rt_affine(space, vals)
-    dof = DofVector("RT", vals, m)
-    for t, p in random_interior_points(m, rng, n=10):
-        pos = m.live_pos[t]
-        assert np.allclose(a0[pos] + c[pos] * p, eval_rt(space, dof, t, p),
-                           atol=1e-13)
-
-
-def test_eval_outside_triangle_raises():
-    space = ref_space()
-    dof = DofVector("RT", np.ones(3), space.mesh)
-    with pytest.raises(ValueError):
-        eval_rt(space, dof, int(space.mesh.live[0]), np.array([0.9, 0.9]))
 
 
 def test_l2_projection_reference_value():
     # mean of f(x, y) = x over the reference triangle is 1/3
     m = load_mesh(REF_TRI)
-    proj = l2_project(FunctionSource(lambda x, y: x), P0Space(m))
+    proj = l2_project(FunctionSource(lambda x, y: x), m)
     assert proj.values[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
@@ -160,7 +140,7 @@ def test_interpolation_commutes_with_projection():
     def dtau(x, y):
         return 3.0 * x ** 2 - 2.0 * y ** 2 + x ** 2
 
-    lhs = l2_project(FunctionSource(dtau), P0Space(m)).values
+    lhs = l2_project(FunctionSource(dtau), m).values
     rhs = div_rt(space, interpolate_rt(tau, space))
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
@@ -168,22 +148,22 @@ def test_interpolation_commutes_with_projection():
 def test_prolongation_preserves_field_values():
     coarse = uniform_refine(unit_square_mesh())
     fine = uniform_refine(coarse, 2)
-    cs = RTSpace(coarse)
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(coarse.ne)
     cdof = DofVector("RT", vals, coarse)
     fdof = prolongate(cdof, fine)
-    fs = RTSpace(fine)
+    coarse_affine = rt_affine(RTSpace(coarse), vals)
+    fine_affine = rt_affine(RTSpace(fine), fdof.values)
     for t, p in random_interior_points(fine, rng, n=15):
         anc_candidates = [tc for tc in coarse.live]
-        got = eval_rt(fs, fdof, t, p)
+        got = flux_at(fine, *fine_affine, t, p)
         ok = False
         for tc in anc_candidates:
             v = coarse.points[coarse.tri_verts[tc]]
             T = np.column_stack([v[1] - v[0], v[2] - v[0]])
             lam = np.linalg.solve(T, p - v[0])
             if lam.min() > 1e-9 and lam.sum() < 1 - 1e-9:
-                want = eval_rt(cs, cdof, int(tc), p)
+                want = flux_at(coarse, *coarse_affine, tc, p)
                 ok = np.allclose(got, want, atol=1e-12)
                 break
         assert ok
@@ -227,21 +207,6 @@ def test_curl_is_divergence_free():
     assert np.max(np.abs(B @ curl_p1(psi).values)) < 1e-13
 
 
-def test_grad_h_defining_relation():
-    m = uniform_refine(unit_square_mesh(), 2)
-    space = RTSpace(m)
-    rng = np.random.default_rng(8)
-    v = DofVector("P0", rng.standard_normal(m.nt), m)
-    g = grad_h(v, space)
-    M = rt_mass_matrix(space)
-    B = div_matrix(space)
-    for _ in range(5):
-        tau = rng.standard_normal(m.ne)
-        lhs = g.values @ (M @ tau)
-        rhs = -(v.values @ (B @ tau))
-        assert lhs == pytest.approx(rhs, abs=1e-10 * (1 + abs(rhs)))
-
-
 def test_interpolant_is_hdiv_conforming():
     # normal flux dofs are shared, so jumps of the normal component vanish;
     # check via the estimator-free route: evaluate both sides at edge
@@ -249,14 +214,15 @@ def test_interpolant_is_hdiv_conforming():
     m = uniform_refine(unit_square_mesh(), 2)
     space = RTSpace(m)
     dof = interpolate_rt(lambda x, y: (np.sin(x + y), x * y), space)
+    a0, c = rt_affine(space, dof.values)
     n = edge_normals(m)
     interior = np.where(~m.edge_boundary)[0]
     for e in interior[::3]:
         mid = 0.5 * (m.points[m.edge_verts[e, 0]]
                      + m.points[m.edge_verts[e, 1]])
         tl, tr = m.edge_tri[e]
-        vl = eval_rt(space, dof, int(tl), mid) @ n[e]
-        vr = eval_rt(space, dof, int(tr), mid) @ n[e]
+        vl = flux_at(m, a0, c, tl, mid) @ n[e]
+        vr = flux_at(m, a0, c, tr, mid) @ n[e]
         assert vl == pytest.approx(vr, abs=1e-12)
 
 
@@ -300,9 +266,12 @@ def test_dof_text_rejects_wrong_count():
 
 
 def test_dofvector_shape_validation():
-    m = unit_square_mesh()
-    with pytest.raises(ValueError):
-        DofVector("RT", np.zeros(m.ne + 1), m)
+    # one value per edge, per live triangle and per vertex
+    m = uniform_refine(unit_square_mesh())
+    for kind, n in (("RT", m.ne), ("P0", m.nt), ("P1", m.nv)):
+        assert DofVector(kind, np.zeros(n), m).values.shape == (n,)
+        with pytest.raises(ValueError):
+            DofVector(kind, np.zeros(n + 1), m)
     with pytest.raises(ValueError):
         DofVector("P9", np.zeros(m.ne), m)
 

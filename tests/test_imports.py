@@ -1,5 +1,7 @@
 """Every name a module of src/amfem imports is used there or listed in its
-``__all__``: a stand-in for a linter's unused-import rule."""
+``__all__``, every name in an ``__all__`` is defined in its module, and
+the package imports only exported names: stand-ins for a linter's
+unused-import and undefined-export rules."""
 import ast
 import pathlib
 
@@ -9,22 +11,54 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "amfem"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
+def exports(tree):
+    """The names listed in a module's ``__all__``."""
+    out = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            out.update(ast.literal_eval(node.value))
+    return out
+
+
 def unused_imports(source):
     tree = ast.parse(source)
     imported = set()
-    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(a.asname or a.name.split(".")[0]
                             for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
-        elif (isinstance(node, ast.Assign)
-              and any(getattr(t, "id", None) == "__all__"
-                      for t in node.targets)):
-            exported.update(ast.literal_eval(node.value))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(imported - used - exported)
+    return sorted(imported - used - exports(tree))
+
+
+def undefined_exports(source):
+    """Names in ``__all__`` that no top-level def, class or assignment of
+    the module defines."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets
+                           if isinstance(t, ast.Name))
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)):
+            defined.add(node.target.id)
+    return sorted(exports(tree) - defined)
+
+
+def package_imports():
+    """(module, name) for every name ``amfem/__init__.py`` imports from a
+    module of the package."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [(node.module, a.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for a in node.names]
 
 
 def test_scan_finds_unused_imports():
@@ -36,6 +70,29 @@ def test_scan_finds_unused_imports():
     assert unused_imports(source) == ["load_mesh", "os", "sp"]
 
 
+def test_scan_finds_undefined_exports():
+    source = ("from .mesh import Mesh\n"
+              "__all__ = ['Mesh', 'f', 'Box', 'K', 'T', 'gone']\n"
+              "K = 1\nT: int = 2\n"
+              "def f():\n    gone = 3\n    return gone\n"
+              "class Box:\n    pass\n")
+    assert undefined_exports(source) == ["Mesh", "gone"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_defined(path):
+    assert undefined_exports(path.read_text()) == []
+
+
+def test_package_imports_only_exported_names():
+    imports = package_imports()
+    assert imports, "amfem/__init__.py imports nothing from its modules"
+    stale = [(module, name) for module, name in imports
+             if name not in exports(ast.parse(
+                 (SRC / (module + ".py")).read_text()))]
+    assert stale == []

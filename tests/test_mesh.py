@@ -19,6 +19,12 @@ def ref_tri_mesh():
     return load_mesh(REF_TRI)
 
 
+def refedge_pair(mesh, t):
+    """Vertex pair (a, b), a < b, of live triangle t's refinement edge."""
+    e = mesh.tri_edge[mesh.live_pos[t], mesh.tri_refedge[t]]
+    return tuple(mesh.edge_verts[e].tolist())
+
+
 def edge_id(mesh, a, b):
     pair = (min(a, b), max(a, b))
     for e in range(mesh.ne):
@@ -39,7 +45,7 @@ def test_longest_edge_labeling_square():
     # both triangles of the square must refine toward the diagonal (0, 2)
     m = unit_square_mesh()
     for t in m.live:
-        assert m.refedge_verts(t) == (0, 2)
+        assert refedge_pair(m, t) == (0, 2)
 
 
 def test_labeling_tie_prefers_smallest_opposite_vertex():
@@ -58,7 +64,7 @@ def test_labeling_tie_prefers_smallest_opposite_vertex():
 
 def test_single_triangle_refedge_is_hypotenuse():
     m = ref_tri_mesh()
-    assert m.refedge_verts(m.live[0]) == (1, 2)
+    assert refedge_pair(m, m.live[0]) == (1, 2)
 
 
 def test_diagonal_split_counts_and_areas():
@@ -131,7 +137,7 @@ def test_children_inherit_refinement_edge_rule():
         parent_pairs.add((min(a, b), max(a, b)))
     m2 = bisect_triangle(m, t)
     for k in m2.tri_children[t]:
-        assert m2.refedge_verts(k) in parent_pairs
+        assert refedge_pair(m2, k) in parent_pairs
 
 
 def test_euler_identity_random_refinements():
@@ -249,7 +255,7 @@ def test_load_flips_clockwise_triangle():
     t = m.live[0]
     assert m.tri_area[0] > 0
     # refedge 1 named the edge opposite vertex 1, i.e. (v2, v0) = (2, 0)
-    assert m.refedge_verts(t) == (0, 2)
+    assert refedge_pair(m, t) == (0, 2)
 
 
 def test_bisect_retired_triangle_raises():
