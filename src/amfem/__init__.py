@@ -12,8 +12,8 @@ from .mesh import (Mesh, MeshFormatError, NotNestedError, load_mesh,
                    save_mesh, initial_labeling, bisect_triangle, refine_edges,
                    uniform_refine, mesh_stats)
 from .sources import FunctionSource, P0Source, as_source
-from .fespace import (RTSpace, DofVector, div_rt, l2_project, interpolate_rt,
-                      prolongate, curl_p1)
+from .fespace import (RTSpace, DofVector, interpolate_rt, prolongate,
+                      curl_matrix)
 from .assembly import (ProblemSpec, SaddleSystem, MixedSolution, SolverError,
                        assemble, solve, solve_poisson, error_sigma)
 from .estimator import EstimatorReport, oscillation, estimate

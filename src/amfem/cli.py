@@ -361,6 +361,8 @@ def _cmd_check(args):
 
 
 def _cmd_study(args):
+    if args.levels < 1:
+        raise ConfigError("levels must be at least 1")
     t0 = time.perf_counter()
     mesh0, problem = _make(args)
     levels = args.levels

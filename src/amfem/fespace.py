@@ -13,6 +13,10 @@ The local flux basis attached to edge i (opposite vertex P_i) of triangle T
 is s * (x - P_i) / (2|T|), where s = +1 when T lies left of the edge
 tangent; its flux through its own edge is 1 and through the other two edges
 is identically zero, so the divergence matrix has entries +-1.
+
+The operators of the complex P1 -> RT0 -> P0 are sparse matrices, one
+implementation each: ``curl_matrix``, ``div_matrix`` and the closed-form
+flux mass ``rt_mass_matrix``.  The P0 projection of f is ``cell_means``.
 """
 from __future__ import annotations
 
@@ -23,11 +27,10 @@ import scipy.sparse as sp
 
 from . import quadrature
 from .mesh import Mesh, ancestor_map
-from .sources import as_source
 
-__all__ = ["RTSpace", "DofVector", "div_rt", "l2_project", "interpolate_rt",
-           "prolongate", "curl_p1", "rt_mass_matrix", "div_matrix",
-           "dof_to_text", "dof_from_text"]
+__all__ = ["RTSpace", "DofVector", "interpolate_rt", "prolongate",
+           "rt_mass_matrix", "div_matrix", "curl_matrix", "dof_to_text",
+           "dof_from_text"]
 
 
 class RTSpace:
@@ -85,36 +88,18 @@ def dof_from_text(text, mesh):
 
 # -- per-triangle affine form ----------------------------------------------
 
-def _signed_coeffs(space, values):
-    m = space.mesh
-    return values[m.tri_edge] * m.tri_sign
-
-
 def rt_affine(space, values):
     """Per live triangle the affine representation sigma(x) = a0 + c*x:
     returns (a0, c) with shapes (nl, 2) and (nl,)."""
     m = space.mesh
-    cs = _signed_coeffs(space, values)
+    cs = values[m.tri_edge] * m.tri_sign
     inv2a = 1.0 / (2.0 * m.tri_area)
     c = cs.sum(axis=1) * inv2a
     a0 = -np.einsum("ti,tix->tx", cs, space.opp_coords()) * inv2a[:, None]
     return a0, c
 
 
-def div_rt(space, dof):
-    """Divergence, constant per triangle, of every live triangle."""
-    m = space.mesh
-    cs = _signed_coeffs(space, dof.values)
-    return cs.sum(axis=1) / m.tri_area
-
-
-# -- interpolation and projection ------------------------------------------
-
-def l2_project(f, mesh: Mesh) -> DofVector:
-    """Cell means of f: the L2 projection onto piecewise constants."""
-    src = as_source(f)
-    return DofVector("P0", src.cell_means(mesh), mesh)
-
+# -- interpolation and prolongation ----------------------------------------
 
 def edge_normals(mesh):
     """(ne, 2) unit normals: the a -> b tangent rotated by -90 degrees."""
@@ -165,34 +150,22 @@ def prolongate(dof: DofVector, fine: Mesh) -> DofVector:
     return DofVector("RT", vals, fine)
 
 
-def curl_p1(psi: DofVector) -> DofVector:
-    """Rotated gradient (d/dy, -d/dx) of a P1 field as an RT flux vector.
-
-    The flux of curl(psi) through edge (a, b) equals the tangential
-    derivative integral, i.e. psi(b) - psi(a) exactly.
-    """
-    if psi.kind != "P1":
-        raise ValueError("curl takes a P1 field")
-    m = psi.mesh
-    vals = psi.values[m.edge_verts[:, 1]] - psi.values[m.edge_verts[:, 0]]
-    return DofVector("RT", vals, m)
-
-
 # -- matrices ---------------------------------------------------------------
 
 def rt_mass_matrix(space: RTSpace):
-    """Sparse flux mass matrix M_ij = integral of phi_i . phi_j."""
+    """Sparse flux mass matrix M_ij = integral of phi_i . phi_j, from the
+    closed-form local mass (Bahriawati & Carstensen, CMAM 5, 2005): with
+    d_i = P_i - c the offsets of the vertices from the centroid,
+    M_T[i, j] = s_i s_j (d_i . d_j + sum_k |d_k|^2 / 12) / (4|T|)."""
     if space._mass is not None:
         return space._mass
     m = space.mesh
     P = space.opp_coords()
-    bary, w = quadrature.tri_rule(2)
-    X = quadrature.tri_points(P, bary)          # (nl, nq, 2)
-    D = X[:, :, None, :] - P[:, None, :, :]     # (nl, nq, 3, 2)
-    base = np.einsum("tqia,tqja,q->tij", D, D, w)
-    s = space.mesh.tri_sign.astype(float)
-    scale = 1.0 / (4.0 * m.tri_area)
-    loc = base * s[:, :, None] * s[:, None, :] * scale[:, None, None]
+    d = P - P.mean(axis=1, keepdims=True)
+    G = np.einsum("tia,tja->tij", d, d)
+    G += np.trace(G, axis1=1, axis2=2)[:, None, None] / 12.0
+    s = m.tri_sign.astype(float)
+    loc = G * s[:, :, None] * s[:, None, :] / (4.0 * m.tri_area)[:, None, None]
     rows = np.repeat(m.tri_edge, 3, axis=1).ravel()
     cols = np.tile(m.tri_edge, (1, 3)).ravel()
     M = sp.coo_matrix((loc.ravel(), (rows, cols)),
@@ -209,3 +182,13 @@ def div_matrix(space: RTSpace):
     cols = m.tri_edge.ravel()
     vals = m.tri_sign.ravel().astype(float)
     return sp.coo_matrix((vals, (rows, cols)), shape=(m.nt, m.ne)).tocsr()
+
+
+def curl_matrix(mesh: Mesh):
+    """Sparse (ne, nv) matrix C: C psi holds the fluxes of the rotated
+    gradient (d/dy, -d/dx) of the P1 field psi.  The flux through edge
+    (a, b) is the integral of the tangential derivative, psi(b) - psi(a)."""
+    rows = np.repeat(np.arange(mesh.ne), 2)
+    vals = np.tile([-1.0, 1.0], mesh.ne)
+    return sp.coo_matrix((vals, (rows, mesh.edge_verts.ravel())),
+                         shape=(mesh.ne, mesh.nv)).tocsr()

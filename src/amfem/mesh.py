@@ -62,7 +62,7 @@ class Mesh:
     points      (nv, 2) vertex coordinates
     tri_verts   (nt_all, 3) vertex ids, counterclockwise
     tri_refedge (nt_all,) local index of the refinement edge
-    tri_gen, tri_parent, tri_children   genealogy bookkeeping
+    tri_gen, tri_parent   genealogy; row t's children: tri_parent == t
     alive       (nt_all,) live flags;  live = ids of live triangles
     live_pos    (nt_all,) position of a live triangle in ``live``, else -1
 
@@ -79,13 +79,12 @@ class Mesh:
     """
 
     def __init__(self, points, tri_verts, tri_refedge, tri_gen, tri_parent,
-                 tri_children, alive, root=None, domain_area=None):
+                 alive, root=None, domain_area=None):
         self.points = np.asarray(points, dtype=float)
         self.tri_verts = np.asarray(tri_verts, dtype=np.int64).reshape(-1, 3)
         self.tri_refedge = np.asarray(tri_refedge, dtype=np.int64)
         self.tri_gen = np.asarray(tri_gen, dtype=np.int64)
         self.tri_parent = np.asarray(tri_parent, dtype=np.int64)
-        self.tri_children = np.asarray(tri_children, dtype=np.int64).reshape(-1, 2)
         self.alive = np.asarray(alive, dtype=bool)
         self._root = root if root is not None else object()
         finite = np.isfinite(self.points).all(axis=1)
@@ -197,7 +196,6 @@ def _new_gen0(points, tv, refedge, root=None):
     return Mesh(points, tv, refedge,
                 np.zeros(nt, dtype=np.int64),
                 np.full(nt, -1, dtype=np.int64),
-                np.full((nt, 2), -1, dtype=np.int64),
                 np.ones(nt, dtype=bool), root=root)
 
 
@@ -379,9 +377,6 @@ def _refine(mesh, marked):
         n += verts.shape[0]
 
     bisected, verts, r, gen, parent = (np.concatenate(c) for c in zip(*parts))
-    children = np.full((n, 2), -1, dtype=np.int64)
-    children[:n0] = mesh.tri_children
-    children[bisected] = np.arange(n0, n).reshape(-1, 2)
     alive = np.ones(n, dtype=bool)
     alive[:n0] = mesh.alive
     alive[bisected] = False
@@ -389,7 +384,7 @@ def _refine(mesh, marked):
                 np.concatenate([mesh.tri_refedge, r]),
                 np.concatenate([mesh.tri_gen, gen]),
                 np.concatenate([mesh.tri_parent, parent]),
-                children, alive, root=mesh._root,
+                alive, root=mesh._root,
                 domain_area=mesh.domain_area)
     return fine, bisected
 

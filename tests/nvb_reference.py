@@ -26,7 +26,8 @@ class _Builder:
         self.refedge = mesh.tri_refedge.tolist()
         self.gen = mesh.tri_gen.tolist()
         self.parent = mesh.tri_parent.tolist()
-        self.children = mesh.tri_children.tolist()
+        # the children of rows bisected here; the input's live rows have none
+        self.children = [[-1, -1] for _ in self.tv]
         self.alive = mesh.alive.tolist()
         self.bisected = []
         self.nlive = int(mesh.live.size)
@@ -114,7 +115,7 @@ class _Builder:
 
     def finish(self, base):
         return Mesh(self.points, self.tv, self.refedge, self.gen, self.parent,
-                    self.children, self.alive, root=base._root,
+                    self.alive, root=base._root,
                     domain_area=base.domain_area)
 
 

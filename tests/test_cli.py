@@ -408,12 +408,18 @@ def test_bad_config_key_exits_one(tmp_path, command, line):
     ("approx", "--benchmark", "checker_const", "--max-iters", "3"),
     ("study",),
     (),
+    ("adapt", "--benchmark", "smooth_square", "--uniform", "-1"),
+    ("study", "--benchmark", "smooth_square", "--mode", "uniform",
+     "--levels", "-1"),
+    ("study", "--benchmark", "smooth_square", "--mode", "uniform",
+     "--levels", "0"),
+    ("study", "--benchmark", "smooth_square", "--levels", "0"),
 ])
 def test_usage_errors_exit_one(tmp_path, args):
     out = tmp_path / "out"
     res = run_cli(*args, "--out", str(out))
     assert res.returncode == 1
-    assert "error:" in res.stderr
+    assert "error:" in res.stderr and "Traceback" not in res.stderr
     assert not out.exists()
 
 

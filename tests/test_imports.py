@@ -1,7 +1,8 @@
 """Every name a module of src/amfem imports is used there or listed in its
-``__all__``, every name in an ``__all__`` is defined in its module, and
-the package imports only exported names: stand-ins for a linter's
-unused-import and undefined-export rules."""
+``__all__``, every name in an ``__all__`` is defined in its module, the
+package imports only exported names, and every private top-level name is
+used somewhere in the package: stand-ins for a linter's unused-import,
+undefined-export and unused-definition rules."""
 import ast
 import pathlib
 
@@ -61,6 +62,43 @@ def package_imports():
             for a in node.names]
 
 
+def top_level_private(tree):
+    """(name, node) for every top-level def, class or assignment of a
+    ``_name`` (dunder names excluded)."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, ast.Assign):
+            out.extend((t.id, node) for t in node.targets
+                       if isinstance(t, ast.Name))
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)):
+            out.append((node.target.id, node))
+    return [(name, node) for name, node in out
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def stranded_privates(sources):
+    """``module:name`` for every private top-level name of the modules in
+    ``sources`` (module name -> source) that no module reads outside the
+    name's own definition."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    out = []
+    for module, tree in trees.items():
+        for name, node in top_level_private(tree):
+            own = {id(n) for n in ast.walk(node)}
+            used = any(
+                id(n) not in own
+                and ((isinstance(n, ast.Name) and n.id == name
+                      and isinstance(n.ctx, ast.Load))
+                     or (isinstance(n, ast.Attribute) and n.attr == name))
+                for other in trees.values() for n in ast.walk(other))
+            if not used:
+                out.append("%s:%s" % (module, name))
+    return sorted(out)
+
+
 def test_scan_finds_unused_imports():
     source = ("from __future__ import annotations\n"
               "import os\nimport scipy.sparse as sp\nimport numpy as np\n"
@@ -77,6 +115,24 @@ def test_scan_finds_undefined_exports():
               "def f():\n    gone = 3\n    return gone\n"
               "class Box:\n    pass\n")
     assert undefined_exports(source) == ["Mesh", "gone"]
+
+
+def test_scan_finds_stranded_privates():
+    sources = {
+        "a": ("_K = 1\n_T: int = 2\n__all__ = ['f']\n"
+              "def _loop(n):\n    return _loop(n - 1) if n else 0\n"
+              "def _used():\n    return _K\n"
+              "class _Box:\n    pass\n"
+              "def f():\n    return _used()\n"),
+        "b": ("from . import a\nfrom .a import _T\n"
+              "def g():\n    return a._Box, _T\n"),
+    }
+    assert stranded_privates(sources) == ["a:_loop"]
+
+
+def test_no_stranded_private_helpers():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert stranded_privates(sources) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -119,7 +119,8 @@ def test_area_halving_exact():
     t = int(m.live[7])
     area_parent = m.tri_area[m.live_pos[t]]
     m2 = bisect_triangle(m, t)
-    kids = m2.tri_children[t]
+    kids = np.flatnonzero(m2.tri_parent == t)
+    assert len(kids) == 2
     for k in kids:
         assert m2.tri_area[m2.live_pos[k]] == pytest.approx(
             0.5 * area_parent, rel=1e-14)
@@ -136,7 +137,7 @@ def test_children_inherit_refinement_edge_rule():
         a, b = int(v[(i + 1) % 3]), int(v[(i + 2) % 3])
         parent_pairs.add((min(a, b), max(a, b)))
     m2 = bisect_triangle(m, t)
-    for k in m2.tri_children[t]:
+    for k in np.flatnonzero(m2.tri_parent == t):
         assert refedge_pair(m2, k) in parent_pairs
 
 
@@ -244,7 +245,7 @@ def test_mesh_rejects_non_finite_point():
     points[1, 0] = np.nan
     with pytest.raises(MeshFormatError, match="vertex 1"):
         Mesh(points, m.tri_verts, m.tri_refedge, m.tri_gen, m.tri_parent,
-             m.tri_children, m.alive)
+             m.alive)
 
 
 def test_load_flips_clockwise_triangle():

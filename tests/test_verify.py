@@ -3,7 +3,7 @@ import pytest
 
 from amfem.adapt import ConvergenceHistory
 from amfem.assembly import ProblemSpec
-from amfem.fespace import DofVector
+from amfem.fespace import RTSpace, curl_matrix, div_matrix
 from amfem.mesh import uniform_refine
 from amfem.verify import (SUITES, benchmark, benchmark_names, check_helmholtz,
                           fit_points, fit_rate, helmholtz_split, lshape_f,
@@ -139,12 +139,16 @@ def test_uniform_study_structure():
 def test_helmholtz_split_reconstructs():
     m = uniform_refine(unit_square_mesh(), 2)
     rng = np.random.default_rng(11)
-    sigma = DofVector("RT", rng.standard_normal(m.ne), m)
-    psi, phi, curl_part, grad_part = helmholtz_split(sigma)
-    assert psi.kind == "P1" and phi.kind == "P0"
-    assert curl_part.kind == "RT" and grad_part.kind == "RT"
-    recon = curl_part.values + grad_part.values
-    assert np.max(np.abs(recon - sigma.values)) < 1e-10
+    sigma = rng.standard_normal((3, m.ne))
+    psi, phi, curl_part, grad_part = helmholtz_split(RTSpace(m), sigma)
+    assert psi.shape == (3, m.nv) and phi.shape == (3, m.nt)
+    assert curl_part.shape == grad_part.shape == (3, m.ne)
+    assert np.max(np.abs(curl_part + grad_part - sigma)) < 1e-10
+    # the curl part is the curl of psi, the gradient part carries all of
+    # the divergence
+    assert np.max(np.abs(curl_part - (curl_matrix(m) @ psi.T).T)) < 1e-13
+    B = div_matrix(RTSpace(m))
+    assert np.max(np.abs(B @ (grad_part - sigma).T)) < 1e-10
     # dimensions: ne = (nv - 1) + nt
     assert m.ne == (m.nv - 1) + m.nt
 
@@ -152,6 +156,28 @@ def test_helmholtz_split_reconstructs():
 def test_check_helmholtz_clean_on_square():
     results = check_helmholtz(uniform_refine(unit_square_mesh()), seed=3)
     assert all(r.passed for r in results)
+
+
+def test_check_helmholtz_builds_one_mass_and_one_p1_factor(monkeypatch):
+    from types import SimpleNamespace
+    from amfem import verify
+    built, factored = [], []
+    mass, splu = verify.rt_mass_matrix, verify.spla.splu
+
+    def counting_mass(space):
+        if space._mass is None:
+            built.append(space.mesh.nt)
+        return mass(space)
+
+    def counting_splu(A, *args, **kwargs):
+        factored.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "rt_mass_matrix", counting_mass)
+    monkeypatch.setattr(verify, "spla", SimpleNamespace(splu=counting_splu))
+    results = check_helmholtz(uniform_refine(unit_square_mesh(), 2))
+    assert all(r.passed for r in results)
+    assert len(built) == 1 and len(factored) == 1
 
 
 def test_all_suites_pass():
@@ -177,6 +203,12 @@ def test_suite_seed_changes_recorded_values():
     a = suite_csv(run_suite("helmholtz", seed=1))
     b = suite_csv(run_suite("helmholtz", seed=2))
     assert a != b                # seed row differs even if checks all pass
+
+
+def test_uniform_study_rejects_negative_rounds():
+    mesh0, prob = benchmark("smooth_square").make()
+    with pytest.raises(ValueError, match="rounds must be nonnegative"):
+        uniform_study(mesh0, prob, -1)
 
 
 def test_uniform_study_evaluates_load_once_per_mesh():
