@@ -52,7 +52,9 @@ class AdaptParams:
             raise ValueError("theta_tilde must lie in [0, 1]")
         if not 0.0 < self.mu <= 1.0:
             raise ValueError("mu must lie in (0, 1]")
-        if self.epsilon <= 0 or self.max_iters < 0 or self.max_triangles < 1:
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and positive")
+        if self.max_iters < 0 or self.max_triangles < 1:
             raise ValueError("bad stopping parameters")
         return self
 
@@ -97,10 +99,10 @@ class ConvergenceHistory:
     def column(self, name):
         return np.array([getattr(r, name) for r in self.records])
 
-    def gamma_hat(self, stage=None):
+    def gamma_hat(self):
         """Observed contraction factor of eta: geometric mean of the ratios
         eta_{k+1} / eta_k over consecutive records."""
-        recs = [r for r in self.records if stage is None or r.stage == stage]
+        recs = self.records
         ratios = [recs[i + 1].eta2 / recs[i].eta2 for i in range(len(recs) - 1)
                   if recs[i].eta2 > 0 and recs[i + 1].eta2 > 0]
         if not ratios:
@@ -149,8 +151,7 @@ def _patch_pos(mesh):
 
 
 def osc_mark(report: EstimatorReport, theta_tilde: float,
-             existing: MarkSet | None = None,
-             mesh: Mesh | None = None) -> MarkSet:
+             existing: MarkSet | None = None) -> MarkSet:
     """Enlarge a marked set until the triangles of its edge patches carry a
     theta_tilde fraction of the squared oscillation.  Greedy: repeatedly add
     the edge contributing the most uncovered oscillation (ties by id)."""
@@ -158,8 +159,7 @@ def osc_mark(report: EstimatorReport, theta_tilde: float,
         raise ValueError("theta_tilde must lie in [0, 1]")
     if existing is None:
         existing = MarkSet(np.empty(0, dtype=np.int64), 0.0)
-    if mesh is None:
-        mesh = report.mesh
+    mesh = report.mesh
     osc2 = report.osc2_tris
     total = osc2.sum()
     chosen = np.array(existing.edges, dtype=np.int64)
@@ -292,7 +292,7 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
         if not done:
             marked = dorfler_mark(report, params.theta)
             if np.sqrt(osc2) > osc0 * params.mu ** k:
-                marked = osc_mark(report, params.theta_tilde, marked, mesh)
+                marked = osc_mark(report, params.theta_tilde, marked)
             new_mesh, bisected = refine_edges(mesh, marked)
         hist.add(k=k, stage="amfem", nT=mesh.nt, nE=mesh.ne, eta2=eta2,
                  osc2=osc2, err=err, n_marked=len(marked),
@@ -309,8 +309,8 @@ def approx(f, mesh0: Mesh, epsilon: float, theta_osc: float = 0.5,
            max_iters: int = 100, max_triangles: int = 300000):
     """Greedy data approximation: refine until the total oscillation of f
     drops below epsilon.  Returns (mesh, history)."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError("epsilon must be finite and nonnegative")
     if not 0.0 < theta_osc <= 1.0:
         raise ValueError("theta_osc must lie in (0, 1]")
     src = as_source(f)
@@ -326,7 +326,7 @@ def approx(f, mesh0: Mesh, epsilon: float, theta_osc: float = 0.5,
         marked, bisected = (), ()
         if not done:
             report = EstimatorReport(mesh, np.zeros(mesh.ne), osc2_tris)
-            marked = osc_mark(report, theta_osc, mesh=mesh)
+            marked = osc_mark(report, theta_osc)
             new_mesh, bisected = refine_edges(mesh, marked)
         hist.add(k=k, stage="approx", nT=mesh.nt, nE=mesh.ne,
                  eta2=float("nan"), osc2=osc2, err=float("nan"),
@@ -343,23 +343,20 @@ def two_stage_settings(epsilon: float):
     ``approx`` call, whose other keywords keep their defaults, and over the
     fields of ``params`` in the stage-2 loop.  Each stage gets half the
     tolerance.  Stage 2's data is piecewise constant, with zero oscillation
-    on every mesh, so it never marks for oscillation."""
-    return ({"epsilon": 0.5 * epsilon},
-            {"epsilon": 0.5 * epsilon, "theta_tilde": 0.0, "mu": 1.0})
+    on every mesh, so its loop never marks for oscillation."""
+    return {"epsilon": 0.5 * epsilon}, {"epsilon": 0.5 * epsilon}
 
 
-def two_stage(f, mesh0: Mesh, epsilon: float, params: AdaptParams,
-              monitors: bool = False):
-    """Data approximation to epsilon/2, then the adaptive loop on the
-    projected piecewise-constant data to epsilon/2.  Returns
+def two_stage(f, mesh0: Mesh, params: AdaptParams, monitors: bool = False):
+    """Data approximation to params.epsilon/2, then the adaptive loop on
+    the projected piecewise-constant data to params.epsilon/2.  Returns
     (mesh, solution, history) with stage-tagged records."""
-    stage1, stage2 = two_stage_settings(epsilon)
+    stage1, stage2 = two_stage_settings(params.epsilon)
     src = as_source(f)
     mesh_h, hist = approx(src, mesh0, max_triangles=params.max_triangles,
                           **stage1)
     fh = P0Source(mesh_h, src.cell_means(mesh_h))
-    problem = ProblemSpec(f=fh, name="two_stage")
-    mesh, sol, hist2 = amfem(mesh_h, problem, replace(params, **stage2),
-                             monitors=monitors)
+    mesh, sol, hist2 = amfem(mesh_h, ProblemSpec(f=fh),
+                             replace(params, **stage2), monitors=monitors)
     hist.extend(hist2)
     return mesh, sol, hist

@@ -62,7 +62,6 @@ class ProblemSpec:
     f: object
     g: object = None
     sigma_exact: object = None
-    name: str = ""
 
 
 @dataclass

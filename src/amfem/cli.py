@@ -1,19 +1,20 @@
 """Command line driver.
 
 Subcommands and the options each one reads (every command also takes
---out, --config, --seed, --threads and --quad-degree):
+--out and --config):
 
-  solve   --benchmark | --mesh, --refine-uniform
+  solve   --benchmark | --mesh, --refine-uniform, --quad-degree
   adapt   --benchmark, --epsilon, --theta, --theta-tilde, --mu, --max-iters,
-          --max-triangles, --two-stage, --uniform
-  approx  --benchmark, --epsilon, --theta-osc, --max-triangles
-  check   --suite
+          --max-triangles, --two-stage, --uniform, --quad-degree
+  approx  --benchmark, --epsilon, --theta-osc, --max-triangles, --quad-degree
+  check   --suite, --seed
   study   --benchmark, --mode, --levels, --theta, --theta-tilde, --mu,
-          --max-iters, --max-triangles
+          --max-iters, --max-triangles, --quad-degree
 
 Outputs land in the directory given by --out (or the AMFEM_OUT environment
 variable).  Every run writes a run.meta with the options of the command
-that ran, as they took effect, and the library versions.  A --config file
+that ran, as they took effect, the library versions and, for a uniform
+study, the loop options it never reads (unused_options).  A --config file
 holds key=value lines whose keys are the command's own long options
 (theta_tilde or theta-tilde); they are parsed like flags placed before the
 command line ones, so explicit flags win, and an unknown key or one that
@@ -112,15 +113,6 @@ def _build_parser():
                        help="output directory (default: $AMFEM_OUT or "
                        "./amfem_out)")
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--seed", type=int, default=_default(run_suite, "seed"),
-                       help="seed of the check suites")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted and recorded, but has no effect: "
-                       "amfem runs in one thread")
-        p.add_argument("--quad-degree", type=int,
-                       default=quadrature.DEFAULT_DEGREE,
-                       help="degree of the load quadrature, rounded up to "
-                       "the next available rule")
         return p
 
     def typed(p, name, default):
@@ -152,6 +144,8 @@ def _build_parser():
 
     p = command("check", "run verification suites")
     p.add_argument("--suite", default=None, choices=sorted(SUITES))
+    p.add_argument("--seed", type=int, default=_default(run_suite, "seed"),
+                   help="seed of the random fields the suites draw")
 
     p = command("study", "rate table over a tolerance ladder")
     p.add_argument("--benchmark", required=True, choices=benchmark_names())
@@ -161,23 +155,28 @@ def _build_parser():
     for name, default in loop.items():
         if name != "epsilon":           # it follows from the levels
             typed(p, name, default)
+    for name in ("solve", "adapt", "approx", "study"):   # the load commands
+        sub.choices[name].add_argument(
+            "--quad-degree", type=int, default=quadrature.DEFAULT_DEGREE,
+            help="degree of the load quadrature, rounded up to the next "
+            "available rule")
     return top
 
 
 def _parse(argv):
     """Parse the command line, with the --config file's options placed
-    before the explicit flags; quad_degree becomes the rule's degree."""
+    before the explicit flags; quad_degree, where declared, becomes the
+    rule's degree."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
         at = argv.index(args.command) + 1
         args = parser.parse_args(argv[:at] + _config_args(args.config)
                                  + argv[at:])
-    if args.threads < 1:
-        raise ConfigError("threads must be at least 1")
-    if args.quad_degree < 1:
-        raise ConfigError("quad-degree must be at least 1")
-    args.quad_degree = quadrature.rule_degree(args.quad_degree)
+    if "quad_degree" in vars(args):
+        if args.quad_degree < 1:
+            raise ConfigError("quad-degree must be at least 1")
+        args.quad_degree = quadrature.rule_degree(args.quad_degree)
     return args
 
 
@@ -206,20 +205,13 @@ def _write(outdir, name, text):
 
 
 def _unused_options(args):
-    """The options of the command that ran which took no effect: amfem runs
-    in one thread, only the check suites draw random numbers and they build
-    their own problems, a uniform study reads none of the loop options, and
-    ``two_stage`` sets some of them itself."""
-    if args.command == "check":
-        return ["quad_degree", "threads"]
+    """The options of the command that ran which took no effect: a uniform
+    study reads none of the loop options."""
     opts = vars(args)
-    unused = {"seed", "threads"}
-    if opts.get("uniform") is not None or opts.get("mode") == "uniform":
-        unused.update(name for name in ("two_stage", *asdict(AdaptParams()))
-                      if name in opts)
-    elif opts.get("two_stage"):
-        unused.update(set(two_stage_settings(args.epsilon)[1]) - {"epsilon"})
-    return sorted(unused)
+    if opts.get("uniform") is None and opts.get("mode") != "uniform":
+        return []
+    return sorted(name for name in ("two_stage", *asdict(AdaptParams()))
+                  if name in opts)
 
 
 def _write_meta(args, wall_ms, extra=None):
@@ -271,8 +263,7 @@ def _cmd_solve(args):
         with open(args.mesh) as fh:
             mesh = load_mesh(fh.read())
         problem = ProblemSpec(f=FunctionSource(lambda x, y: np.ones_like(x),
-                                               args.quad_degree),
-                              name="unit-load")
+                                               args.quad_degree))
         label = args.mesh
     mesh = uniform_refine(mesh, args.refine_uniform)
     sol = solve_poisson(mesh, problem)
@@ -293,9 +284,9 @@ def _cmd_adapt(args):
         status = "uniform"
         mesh = None
     elif args.two_stage:
-        mesh, sol, hist = two_stage(problem.f, mesh0, args.epsilon, params)
+        mesh, sol, hist = two_stage(problem.f, mesh0, params)
         status = hist.status
-        stage1, stage2 = two_stage_settings(args.epsilon)
+        stage1, stage2 = two_stage_settings(params.epsilon)
         stage1 = {"theta_osc": _default(approx, "theta_osc"),
                   "max_iters": _default(approx, "max_iters"), **stage1}
         for stage, settings in (("stage1", stage1), ("stage2", stage2)):

@@ -23,7 +23,6 @@ class FunctionSource:
 
     def __init__(self, f, degree=quadrature.DEFAULT_DEGREE):
         self.f = f
-        self.degree = degree
         self._nodes, self._w = quadrature.tri_rule(degree)
         self._mesh = self._vals = None
 

@@ -12,6 +12,8 @@ minimality) and report one pass/fail row per check.
 """
 from __future__ import annotations
 
+import csv
+import io
 import time
 from dataclasses import dataclass, replace
 
@@ -147,9 +149,7 @@ def lshape_sigma(x, y):
 
 @dataclass(frozen=True)
 class Benchmark:
-    """Named problem: a factory producing a fresh (mesh0, ProblemSpec)
-    pair."""
-    name: str
+    """A factory producing a fresh (mesh0, ProblemSpec) pair."""
     factory: object
 
     def make(self):
@@ -157,25 +157,24 @@ class Benchmark:
 
 
 def _make_smooth():
-    return unit_square_mesh(), ProblemSpec(
-        f=smooth_f, sigma_exact=smooth_sigma, name="smooth_square")
+    return unit_square_mesh(), ProblemSpec(f=smooth_f,
+                                           sigma_exact=smooth_sigma)
 
 
 def _make_lshape():
-    return lshape_mesh(), ProblemSpec(
-        f=lshape_f, sigma_exact=lshape_sigma, name="lshape_sing")
+    return lshape_mesh(), ProblemSpec(f=lshape_f, sigma_exact=lshape_sigma)
 
 
 def _make_checker():
     mesh = unit_square_mesh()
     vals = np.where(np.arange(mesh.nt) % 2 == 0, 1.0, -1.0)
-    return mesh, ProblemSpec(f=P0Source(mesh, vals), name="checker_const")
+    return mesh, ProblemSpec(f=P0Source(mesh, vals))
 
 
 _BENCHMARKS = {
-    "smooth_square": Benchmark("smooth_square", _make_smooth),
-    "lshape_sing": Benchmark("lshape_sing", _make_lshape),
-    "checker_const": Benchmark("checker_const", _make_checker),
+    "smooth_square": Benchmark(_make_smooth),
+    "lshape_sing": Benchmark(_make_lshape),
+    "checker_const": Benchmark(_make_checker),
 }
 
 
@@ -196,9 +195,7 @@ def benchmark(name):
 @dataclass(frozen=True)
 class RateFit:
     slope: float
-    intercept: float
     residual: float
-    n_points: int
 
     @property
     def s(self):
@@ -216,7 +213,7 @@ def fit_points(ns, values):
     A = np.column_stack([np.log(ns), np.ones(len(ns))])
     coef, res, _, _ = np.linalg.lstsq(A, np.log(values), rcond=None)
     residual = float(np.sqrt(res[0])) if res.size else 0.0
-    return RateFit(float(coef[0]), float(coef[1]), residual, len(ns))
+    return RateFit(float(coef[0]), residual)
 
 
 _FIELDS = {"err": ("err", False), "eta": ("eta2", True), "osc": ("osc2", True)}
@@ -279,11 +276,12 @@ def _leq(name, value, threshold):
 
 
 def suite_csv(results):
-    lines = ["check,value,threshold,pass"]
-    for r in results:
-        lines.append("%s,%s,%s,%d" % (r.check, repr(float(r.value)),
-                                      repr(float(r.threshold)), int(r.passed)))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()    # csv quotes the names that hold a comma
+    csv.writer(buf, lineterminator="\n").writerows(
+        [("check", "value", "threshold", "pass")]
+        + [(r.check, repr(float(r.value)), repr(float(r.threshold)),
+            int(r.passed)) for r in results])
+    return buf.getvalue()
 
 
 # -- discrete Helmholtz decomposition ----------------------------------------
@@ -340,7 +338,7 @@ def check_helmholtz(mesh, seed=0, nvec=10):
     return out
 
 
-def _helmholtz_meshes(seed=0):
+def _helmholtz_meshes():
     sq = unit_square_mesh()
     meshes = [sq, uniform_refine(sq, 2)]
     mesh0, problem = benchmark("lshape_sing").make()
@@ -354,7 +352,7 @@ def _helmholtz_meshes(seed=0):
 
 # -- structural identity checks ----------------------------------------------
 
-def check_pythagoras(seed=0):
+def check_pythagoras():
     """Nested three-mesh identity |s_l - s_H|^2 = |s_l - s_h|^2 + |s_h - s_H|^2
     for the checkerboard load (zero oscillation at every level)."""
     mesh_H, problem = benchmark("checker_const").make()
@@ -375,7 +373,7 @@ _COMMUTING_FIELDS = (
 )
 
 
-def check_commuting(seed=0):
+def check_commuting():
     """Projection of the divergence equals the divergence of the
     interpolant, field by field, triangle by triangle."""
     mesh = uniform_refine(unit_square_mesh(), 3)
@@ -390,7 +388,7 @@ def check_commuting(seed=0):
     return out
 
 
-def check_stability(seed=0):
+def check_stability():
     """Same fine mesh, data f versus its coarse projection: the solution
     shift is controlled by the oscillation of f over the coarse mesh."""
     mesh_H = uniform_refine(unit_square_mesh(), 2)
@@ -406,7 +404,7 @@ def check_stability(seed=0):
     return [_leq("identities.stability_ratio", shift / osc, 10.0)]
 
 
-def check_quasiorth(seed=0):
+def check_quasiorth():
     """Cosine of the angle between consecutive corrections, normalized by
     the oscillation share: bounded for nested solves."""
     mesh_H = uniform_refine(unit_square_mesh(), 2)
@@ -427,7 +425,7 @@ def check_quasiorth(seed=0):
     return [_leq("identities.quasiorth_ratio", inner / (na * osc), 10.0)]
 
 
-def check_projection_gap(seed=0):
+def check_projection_gap():
     """Reported ratio |u_h - Q_H u_h| / (H_T |sigma_h|) per coarse triangle
     (the Poincare-type bound the nested analysis leans on)."""
     mesh_H = uniform_refine(unit_square_mesh(), 2)
@@ -444,13 +442,9 @@ def check_projection_gap(seed=0):
 
 
 def check_identities(seed=0):
-    out = []
-    out.extend(check_pythagoras(seed))
-    out.extend(check_commuting(seed))
-    out.extend(check_stability(seed))
-    out.extend(check_quasiorth(seed))
-    out.extend(check_projection_gap(seed))
-    return out
+    """The identity checks, which draw no random numbers."""
+    return (check_pythagoras() + check_commuting() + check_stability()
+            + check_quasiorth() + check_projection_gap())
 
 
 # -- estimator checks ---------------------------------------------------------
@@ -534,7 +528,7 @@ def check_marking(seed=0):
     rng2 = np.random.default_rng(seed + 1)
     osc2 = rng2.uniform(0.0, 1.0, m2.nt)
     rep = EstimatorReport(m2, np.zeros(m2.ne), osc2)
-    ms = osc_mark(rep, 0.7, MarkSet(np.empty(0, dtype=np.int64)), m2)
+    ms = osc_mark(rep, 0.7, MarkSet(np.empty(0, dtype=np.int64)))
     patch = _patch_pos(m2)[ms.edges]
     share = osc2[np.unique(patch[patch >= 0])].sum() / osc2.sum()
     out.append(CheckResult("marking.osc_cover", float(share), 0.49,
@@ -596,7 +590,7 @@ def check_approx(seed=0):
 
 def suite_helmholtz(seed=0):
     out = []
-    for mesh in _helmholtz_meshes(seed):
+    for mesh in _helmholtz_meshes():
         out.extend(check_helmholtz(mesh, seed=seed))
     return out
 

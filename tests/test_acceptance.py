@@ -238,7 +238,7 @@ def test_criterion_11_determinism(tmp_path):
         out = tmp_path / sub
         res = subprocess.run(
             [sys.executable, "-m", "amfem.cli", "check", "--seed", "7",
-             "--threads", "1", "--out", str(out)],
+             "--out", str(out)],
             capture_output=True, text=True, env=dict(os.environ))
         assert res.returncode == 0, res.stderr
         outs.append(out)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,7 +10,7 @@ from amfem.adapt import (AdaptParams, ConvergenceHistory, HISTORY_COLUMNS,
 from amfem.assembly import ProblemSpec
 from amfem.estimator import EstimatorReport
 from amfem.mesh import uniform_refine
-from amfem.sources import P0Source
+from amfem.sources import P0Source, as_source
 from amfem.verify import (benchmark, lshape_f, lshape_mesh, smooth_f,
                           unit_square_mesh)
 
@@ -124,6 +125,15 @@ def test_params_validation():
     AdaptParams().validate()
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_non_finite_tolerance_is_rejected(eps):
+    # nan <= 0 is false: a sign test alone would let nan through
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        AdaptParams(epsilon=eps).validate()
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        approx(smooth_f, unit_square_mesh(), eps)
+
+
 def test_amfem_zero_load_stops_immediately():
     m = unit_square_mesh()
     prob = ProblemSpec(f=lambda x, y: np.zeros_like(x))
@@ -234,7 +244,7 @@ def test_two_stage_matches_plain_loop_on_p0_data():
     mesh0, prob = benchmark("checker_const").make()
     eps = 0.1
     pars = AdaptParams(epsilon=eps, theta=0.3)
-    mesh_a, sol_a, hist_a = two_stage(prob.f, mesh0, eps, pars)
+    mesh_a, sol_a, hist_a = two_stage(prob.f, mesh0, pars)
     ref_pars = AdaptParams(epsilon=eps / 2.0, theta=0.3, theta_tilde=0.0,
                            mu=1.0)
     mesh_b, sol_b, hist_b = amfem(mesh0, prob, ref_pars)
@@ -248,7 +258,7 @@ def test_two_stage_matches_plain_loop_on_p0_data():
 
 def test_two_stage_smooth_runs_both_stages():
     mesh0, prob = benchmark("smooth_square").make()
-    mesh, sol, hist = two_stage(prob.f, mesh0, 0.25, AdaptParams(epsilon=0.25))
+    mesh, sol, hist = two_stage(prob.f, mesh0, AdaptParams(epsilon=0.25))
     stages = [r.stage for r in hist.records]
     assert "approx" in stages and "amfem" in stages
     # approx rows come first, never interleaved
@@ -258,6 +268,34 @@ def test_two_stage_smooth_runs_both_stages():
     assert np.sqrt(hist.records[-1].eta2) < 0.25 / 2.0
     # stage one rows carry no estimator value
     assert all(np.isnan(r.eta2) for r in hist.records if r.stage == "approx")
+
+
+def without_wall_ms(hist):
+    return [row.rsplit(",", 1)[0] for row in hist.to_csv().splitlines()]
+
+
+@pytest.mark.parametrize("name,eps", [("smooth_square", 0.3),
+                                      ("lshape_sing", 0.2)])
+def test_two_stage_runs_stage_two_with_the_users_params(name, eps):
+    # stage two's data is piecewise constant, so its oscillation is zero on
+    # every mesh and the user's theta_tilde and mu cannot change its marks
+    mesh0, prob = benchmark(name).make()
+    params = AdaptParams(epsilon=eps, theta=0.4, theta_tilde=0.9, mu=0.2)
+    mesh, sol, hist = two_stage(prob.f, mesh0, params)
+    src = as_source(prob.f)
+    mesh_h, want = approx(src, mesh0, eps / 2.0,
+                          max_triangles=params.max_triangles)
+    fh = P0Source(mesh_h, src.cell_means(mesh_h))
+    mesh_b, sol_b, hist_b = amfem(mesh_h, ProblemSpec(f=fh),
+                                  dataclasses.replace(params,
+                                                      epsilon=eps / 2.0))
+    want.extend(hist_b)
+    assert {r.stage for r in hist.records} == {"approx", "amfem"}
+    assert all(r.osc2 == 0.0 for r in hist.records if r.stage == "amfem")
+    assert without_wall_ms(hist) == without_wall_ms(want)
+    assert hist.status == want.status == "tol"
+    assert mesh.nt == mesh_b.nt
+    assert np.array_equal(sol.sigma.values, sol_b.sigma.values)
 
 
 def test_history_csv_layout():

@@ -53,9 +53,11 @@ def test_solve_writes_loadable_artifacts(tmp_path):
     assert u.kind == "P0"
     eta_lines = (tmp_path / "eta.csv").read_text().strip().splitlines()
     assert len(eta_lines) == mesh.ne + 1
-    meta = (tmp_path / "run.meta").read_text()
-    assert "command=solve" in meta
-    assert "seed=0" in meta and "threads=1" in meta
+    meta = read_meta(tmp_path)
+    assert meta["command"] == "solve"
+    # only check reads a seed, and no command takes a thread count
+    assert "seed" not in meta and "threads" not in meta
+    assert meta["unused_options"] == ""
 
 
 def test_solve_rejects_benchmark_and_mesh_together(tmp_path):
@@ -112,12 +114,6 @@ def test_exit_one_on_bad_config(tmp_path):
     assert res.returncode == 1
 
 
-def test_exit_one_on_bad_threads(tmp_path):
-    res = run_cli("check", "--suite", "marking", "--threads", "0",
-                  "--out", str(tmp_path))
-    assert res.returncode == 1
-
-
 def test_config_file_merging(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("theta = 0.9\nepsilon = 0.3\n# a comment\n"
@@ -167,15 +163,16 @@ def test_adapt_two_stage_records_the_stage_settings(tmp_path):
     assert meta["stage1_max_iters"] == "100"
     assert meta["stage1_epsilon"] == "0.15"
     assert meta["stage2_epsilon"] == "0.15"
-    assert meta["stage2_theta_tilde"] == "0.0"
-    assert meta["stage2_mu"] == "1.0"
-    assert meta["unused_options"] == "mu,seed,theta_tilde,threads"
+    # stage 2 runs with the options given: theta_tilde and mu took effect
+    assert "stage2_theta_tilde" not in meta and "stage2_mu" not in meta
+    assert meta["theta_tilde"] == "0.5" and meta["mu"] == "0.7"
+    assert meta["unused_options"] == ""
     # the plain loop reads theta_tilde and mu and records no stages
     res = run_cli("adapt", "--benchmark", "smooth_square", "--epsilon",
                   "0.3", "--out", str(tmp_path / "plain"))
     assert res.returncode == 0, res.stderr
     meta = read_meta(tmp_path / "plain")
-    assert meta["unused_options"] == "seed,threads"
+    assert meta["unused_options"] == ""
     assert not any(key.startswith("stage") for key in meta)
 
 
@@ -193,8 +190,8 @@ def test_adapt_uniform_records_the_loop_options_as_unused(tmp_path):
                   "--two-stage", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert read_meta(tmp_path)["unused_options"].split(",") == [
-        "epsilon", "max_iters", "max_triangles", "mu", "seed", "theta",
-        "theta_tilde", "threads", "two_stage"]
+        "epsilon", "max_iters", "max_triangles", "mu", "theta",
+        "theta_tilde", "two_stage"]
 
 
 def test_approx_command(tmp_path):
@@ -213,7 +210,7 @@ def test_study_command(tmp_path):
     lines = (tmp_path / "study.csv").read_text().strip().splitlines()
     assert lines[0] == "level,nT,nE,eta2,osc2,err"
     assert len(lines) == 4
-    assert read_meta(tmp_path)["unused_options"] == "seed,threads"
+    assert read_meta(tmp_path)["unused_options"] == ""
 
 
 def test_uniform_study_records_the_loop_options_as_unused(tmp_path):
@@ -221,8 +218,7 @@ def test_uniform_study_records_the_loop_options_as_unused(tmp_path):
                   "uniform", "--levels", "2", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert read_meta(tmp_path)["unused_options"].split(",") == [
-        "max_iters", "max_triangles", "mu", "seed", "theta", "theta_tilde",
-        "threads"]
+        "max_iters", "max_triangles", "mu", "theta", "theta_tilde"]
 
 
 def test_check_single_suite(tmp_path):
@@ -231,13 +227,16 @@ def test_check_single_suite(tmp_path):
     assert res.returncode == 0, res.stderr
     assert "check: all passed" in res.stdout
     assert (tmp_path / "check_marking.csv").exists()
+    meta = read_meta(tmp_path)
+    assert meta["seed"] == "5" and "quad_degree" not in meta
+    assert meta["unused_options"] == ""
 
 
 def test_check_reports_are_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
         res = run_cli("check", "--suite", "estimator", "--seed", "7",
-                      "--threads", "1", "--out", str(d))
+                      "--out", str(d))
         assert res.returncode == 0, res.stderr
     a = (d1 / "check_estimator.csv").read_bytes()
     b = (d2 / "check_estimator.csv").read_bytes()
@@ -282,33 +281,9 @@ def test_quad_degree_without_rule_is_rejected(tmp_path):
     assert not out.exists()
 
 
-def test_threads_is_recorded_as_unused(tmp_path):
-    res = run_cli("check", "--suite", "marking", "--threads", "1",
-                  "--out", str(tmp_path))
-    assert res.returncode == 0, res.stderr
-    meta = read_meta(tmp_path)
-    assert meta["threads"] == "1"
-    assert "threads" in meta["unused_options"].split(",")
-    help_text = run_cli("check", "--help").stdout
-    assert "no effect" in " ".join(help_text.split())
-
-
 def read_meta(outdir):
     return dict(line.split("=", 1)
                 for line in (outdir / "run.meta").read_text().splitlines())
-
-
-def test_check_records_quad_degree_as_unused(tmp_path):
-    res = run_cli("check", "--suite", "marking", "--quad-degree", "5",
-                  "--out", str(tmp_path / "check"))
-    assert res.returncode == 0, res.stderr
-    meta = read_meta(tmp_path / "check")
-    assert meta["quad_degree"] == "5"
-    assert meta["unused_options"] == "quad_degree,threads"
-    # a command that integrates the load uses the degree
-    res, _ = solve_smooth_u3(tmp_path / "solve", "--quad-degree", "5")
-    assert res.returncode == 0, res.stderr
-    assert read_meta(tmp_path / "solve")["unused_options"] == "seed,threads"
 
 
 def test_run_meta_records_solver_and_peak_rss(tmp_path):
@@ -414,6 +389,16 @@ def test_bad_config_key_exits_one(tmp_path, command, line):
     ("study", "--benchmark", "smooth_square", "--mode", "uniform",
      "--levels", "0"),
     ("study", "--benchmark", "smooth_square", "--levels", "0"),
+    # options that could change no output are not declared
+    ("check", "--suite", "marking", "--threads", "1"),
+    ("solve", "--benchmark", "smooth_square", "--seed", "0"),
+    ("check", "--suite", "marking", "--quad-degree", "5"),
+    # a tolerance must be finite
+    ("adapt", "--benchmark", "smooth_square", "--epsilon", "nan",
+     "--max-iters", "4"),
+    ("adapt", "--benchmark", "smooth_square", "--epsilon", "inf"),
+    ("approx", "--benchmark", "smooth_square", "--epsilon", "nan"),
+    ("approx", "--benchmark", "smooth_square", "--epsilon", "inf"),
 ])
 def test_usage_errors_exit_one(tmp_path, args):
     out = tmp_path / "out"
@@ -421,6 +406,25 @@ def test_usage_errors_exit_one(tmp_path, args):
     assert res.returncode == 1
     assert "error:" in res.stderr and "Traceback" not in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,options", [
+    (["solve"], "benchmark mesh refine_uniform quad_degree"),
+    (["adapt", "--benchmark", "smooth_square"],
+     "benchmark epsilon theta theta_tilde mu max_iters max_triangles "
+     "two_stage uniform quad_degree"),
+    (["approx", "--benchmark", "smooth_square"],
+     "benchmark epsilon theta_osc max_triangles quad_degree"),
+    (["check"], "suite seed"),
+    (["study", "--benchmark", "smooth_square"],
+     "benchmark mode levels theta theta_tilde mu max_iters max_triangles "
+     "quad_degree"),
+], ids=["solve", "adapt", "approx", "check", "study"])
+def test_each_command_declares_the_options_it_reads(argv, options):
+    # 40 settable values in all: every command also takes --out and --config
+    from amfem.cli import _build_parser
+    got = set(vars(_build_parser().parse_args(argv))) - {"command"}
+    assert got == {"out", "config", *options.split()}
 
 
 def test_run_meta_lists_the_options_of_the_command_only(tmp_path):
@@ -433,3 +437,4 @@ def test_run_meta_lists_the_options_of_the_command_only(tmp_path):
         assert key not in meta
     assert meta["theta_osc"] == "0.5" and meta["max_triangles"] == "300000"
     assert meta["epsilon"] == "0.001"
+    assert meta["unused_options"] == ""

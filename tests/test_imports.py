@@ -1,14 +1,16 @@
 """Every name a module of src/amfem imports is used there or listed in its
 ``__all__``, every name in an ``__all__`` is defined in its module, the
-package imports only exported names, and every private top-level name is
-used somewhere in the package: stand-ins for a linter's unused-import,
-undefined-export and unused-definition rules."""
+package imports only exported names, every private top-level name is used
+somewhere in the package, and every attribute a class stores is read
+somewhere: stand-ins for a linter's unused-import, undefined-export,
+unused-definition and write-only-attribute rules."""
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "amfem"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "amfem"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -99,6 +101,47 @@ def stranded_privates(sources):
     return sorted(out)
 
 
+def _is_dataclass(decorator):
+    """``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass``."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return "dataclass" in (getattr(decorator, "id", None),
+                           getattr(decorator, "attr", None))
+
+
+def stored_attributes(tree):
+    """(class, name) for every dataclass field and every ``self.name = ...``
+    target of a class in ``tree``."""
+    out = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if any(map(_is_dataclass, cls.decorator_list)):
+            out.update((cls.name, node.target.id) for node in cls.body
+                       if isinstance(node, ast.AnnAssign)
+                       and isinstance(node.target, ast.Name))
+        out.update((cls.name, node.attr) for node in ast.walk(cls)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Store)
+                   and getattr(node.value, "id", None) == "self")
+    return out
+
+
+def write_only_state(sources, readers):
+    """``Class.name`` for every attribute a class of ``sources`` stores that
+    no module of ``readers`` reads as an attribute (``x.name``).  The match
+    is by name alone, so a field is missed when any object anywhere has an
+    attribute read of the same name: an unread ``name`` field hides behind
+    the many ``.name`` reads of unrelated objects."""
+    reads = {node.attr for text in readers
+             for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    return sorted("%s.%s" % item for text in sources
+                  for item in stored_attributes(ast.parse(text))
+                  if item[1] not in reads)
+
+
 def test_scan_finds_unused_imports():
     source = ("from __future__ import annotations\n"
               "import os\nimport scipy.sparse as sp\nimport numpy as np\n"
@@ -128,6 +171,32 @@ def test_scan_finds_stranded_privates():
               "def g():\n    return a._Box, _T\n"),
     }
     assert stranded_privates(sources) == ["a:_loop"]
+
+
+def test_scan_finds_write_only_state():
+    source = ("from dataclasses import dataclass, field\n"
+              "import dataclasses\n"
+              "@dataclass(frozen=True)\nclass Fit:\n"
+              "    slope: float\n    intercept: float\n    K = 3\n"
+              "@dataclasses.dataclass\nclass Log:\n"
+              "    rows: list = field(default_factory=list)\n"
+              "class Source:\n"
+              "    def __init__(self, f, degree):\n"
+              "        self.f = f\n        self.degree = degree\n"
+              "        self._a = self._b = None\n"
+              "        self.c, self.d = 1, 2\n"
+              "    def value(self):\n"
+              "        self._b = 1\n        return self.f(self._a), self.c\n")
+    reader = "def g(fit, log):\n    return fit.slope, log.rows\n"
+    assert write_only_state([source], [source, reader]) == [
+        "Fit.intercept", "Source._b", "Source.d", "Source.degree"]
+
+
+def test_no_write_only_state():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    readers = sources + [p.read_text() for folder in ("tests", "bench")
+                         for p in sorted((ROOT / folder).glob("*.py"))]
+    assert write_only_state(sources, readers) == []
 
 
 def test_no_stranded_private_helpers():

@@ -55,7 +55,7 @@ def test_marks_match_reference(name):
                         # a full cover of non-dyadic values hinges on the
                         # rounding of two differently ordered sums
                         continue
-                    got = osc_mark(report, theta, existing, mesh)
+                    got = osc_mark(report, theta, existing)
                     want = ref.osc_mark(report, theta, existing, mesh)
                     assert got.edges.dtype == np.int64
                     assert got.edges.tolist() == want.edges.tolist()

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -188,15 +190,18 @@ def test_all_suites_pass():
 
 
 def test_suite_csv_deterministic_and_parsable():
-    a = suite_csv(run_suite("marking", seed=7))
-    b = suite_csv(run_suite("marking", seed=7))
-    assert a == b
-    lines = a.strip().splitlines()
-    assert lines[0] == "check,value,threshold,pass"
-    for line in lines[1:]:
-        check, value, threshold, ok = line.split(",")
-        float(value), float(threshold)
-        assert ok in ("0", "1")
+    # the helmholtz names hold a comma, so only csv quoting keeps them whole
+    for suite in ("marking", "helmholtz"):
+        results = run_suite(suite, seed=7)
+        a = suite_csv(results)
+        assert a == suite_csv(run_suite(suite, seed=7))
+        rows = list(csv.reader(a.splitlines()))
+        assert rows[0] == ["check", "value", "threshold", "pass"]
+        assert all(len(row) == 4 for row in rows)
+        assert [row[0] for row in rows[1:]] == [r.check for r in results]
+        for check, value, threshold, ok in rows[1:]:
+            float(value), float(threshold)
+            assert ok in ("0", "1")
 
 
 def test_suite_seed_changes_recorded_values():
