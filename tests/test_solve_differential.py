@@ -1,19 +1,21 @@
 """The hybridized solve against the saddle-point LU in ``saddle_reference``:
 the same flux and multiplier to 1e-10 relative on the benchmark meshes,
-their uniform and random local refinements, with boundary data, piecewise
-constant loads and arbitrary flux right-hand sides; and the closed-form
-element block against the inverse of the local saddle block."""
+their uniform and random local refinements, a deep adaptive mesh and a
+reloaded mesh without genealogy, with boundary data, piecewise constant
+loads and arbitrary flux right-hand sides; and the closed-form element
+block against the inverse of the local saddle block."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import saddle_reference as ref
+from amfem.adapt import AdaptParams, amfem
 from amfem.assembly import ProblemSpec, assemble, solve
 from amfem.fespace import RTSpace, rt_mass_matrix
-from amfem.mesh import load_mesh, refine_edges, uniform_refine
+from amfem.mesh import load_mesh, refine_edges, save_mesh, uniform_refine
 from amfem.sources import P0Source
-from amfem.verify import benchmark, unit_square_mesh
+from amfem.verify import benchmark, lshape_mesh, unit_square_mesh
 
 BENCHMARKS = ("smooth_square", "lshape_sing", "checker_const")
 TOL = 1e-10
@@ -70,6 +72,31 @@ def test_p0_load_and_random_flux_rhs_match_reference(name):
             f=P0Source(mesh, rng.standard_normal(mesh.nt))))
         system.rhs_sigma = rng.standard_normal(mesh.ne)
         assert_matches_reference(system)
+
+
+def test_deep_adaptive_mesh_matches_reference():
+    """Twenty adaptive steps toward the reentrant corner of the L-shape:
+    a genealogy twenty generations deep."""
+    mesh0, problem = benchmark("lshape_sing").make()
+    mesh, _, _ = amfem(mesh0, problem,
+                       AdaptParams(epsilon=1e-9, theta=0.3, max_iters=20))
+    assert mesh.tri_gen.max() >= 20
+    rng = np.random.default_rng(7)
+    assert_matches_reference(assemble(mesh, ProblemSpec(f=problem.f,
+                                                        g=g_data)))
+    system = assemble(mesh, ProblemSpec(
+        f=P0Source(mesh, rng.standard_normal(mesh.nt))))
+    system.rhs_sigma = rng.standard_normal(mesh.ne)
+    assert_matches_reference(system)
+
+
+def test_reloaded_mesh_without_genealogy_matches_reference():
+    """A saved and reloaded mesh is all generation 0."""
+    mesh = load_mesh(save_mesh(uniform_refine(lshape_mesh(), 5)))
+    assert mesh.nt == 6 * 4 ** 5 and not mesh.tri_gen.any()
+    _, problem = benchmark("lshape_sing").make()
+    assert_matches_reference(assemble(mesh, ProblemSpec(f=problem.f,
+                                                        g=g_data)))
 
 
 def test_single_interior_edge_matches_reference():
