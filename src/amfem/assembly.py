@@ -26,6 +26,22 @@ These closed forms are the inverse of the local block [[M_T, -1], [1, 0]],
 so (sigma, u) is the solution of the unreduced system to roundoff.  It is
 checked against the unreduced blocks after every solve: the residual of
 both block rows, and div sigma = (cell mean of f) elementwise.
+
+``solve`` is ``condense`` (per mesh: Q_T, the multiplier numbering and the
+LU factor of S) followed by ``recover`` (per right-hand side: lambda,
+sigma, u and the checks), so several loads on one mesh share one factor.
+
+The multipliers are numbered by nested dissection read off the bisection
+genealogy.  Each bisection splits a triangle in two, and the interior
+edges whose two triangles have their lowest common ancestor (LCA) at a
+node separate the edges below it.  Ordering by (-depth(LCA), LCA, edge id)
+eliminates every separator after the separators inside it (George,
+SINUM 10, 1973; the bisection tree as a space decomposition: Chen,
+Nochetto & Xu, Numer. Math. 120, 2012).  The generation-0 triangles, which
+are all of a mesh loaded from a file, are joined into one tree by
+recursive coordinate bisection of their centroids.  S is assembled in that
+order and factored by SuperLU with the natural column order, symmetric
+mode and diagonal pivots.
 """
 from __future__ import annotations
 
@@ -43,11 +59,13 @@ from .mesh import Mesh
 from .sources import as_source
 
 __all__ = ["ProblemSpec", "SaddleSystem", "MixedSolution", "SolverError",
-           "SOLVER", "assemble", "solve", "solve_poisson", "error_sigma"]
+           "SOLVER", "Condensed", "assemble", "condense", "recover", "solve",
+           "solve_poisson", "error_sigma"]
 
 CONSERVATION_TOL = 1e-10
 # what ``solve`` factors, as recorded in run.meta
-SOLVER = "hybridized-crouzeix-raviart-interior-edges/superlu-colamd"
+SOLVER = ("hybridized-crouzeix-raviart-interior-edges/"
+          "bisection-tree-nested-dissection/superlu-symmetric-natural")
 
 
 class SolverError(RuntimeError):
@@ -84,6 +102,8 @@ class MixedSolution:
     residual_sigma: float
     residual_u: float
     conservation_defect: float
+    n_multipliers: int      # size of the factored system S
+    factor_nnz: int         # nonzeros SuperLU stores for L and U
     wall_ms: float = 0.0
     _affine: tuple = field(default=None, repr=False)
 
@@ -121,36 +141,137 @@ def assemble(mesh: Mesh, problem: ProblemSpec):
     return SaddleSystem(space, M, B, rhs_sigma, rhs_u)
 
 
-def solve(system: SaddleSystem) -> MixedSolution:
-    t0 = time.perf_counter()
-    mesh = system.space.mesh
-    E, s = mesh.tri_edge, mesh.tri_sign
+def _bisection_tree(mesh):
+    """The bisection forest of ``mesh`` closed into one binary tree.
+
+    Nodes 0 to nt_all - 1 are the triangle rows, each below its
+    ``tri_parent``.  The generation-0 rows hang from added nodes, numbered
+    from nt_all, that recursive coordinate bisection of their centroids
+    builds: a node splits its triangles into two halves of equal count at
+    the median of the coordinate with the wider extent.  Returns the parent
+    of every node; the top node is its own parent."""
+    nt_all = len(mesh.tri_parent)
+    roots = np.flatnonzero(mesh.tri_parent < 0)
+    parent = np.concatenate([mesh.tri_parent,
+                             np.empty(roots.size - 1, dtype=np.int64)])
+    if roots.size == 1:
+        parent[roots[0]] = roots[0]
+        return parent
+    cent = mesh.points[mesh.tri_verts[roots]].mean(axis=1)
+    order = np.arange(roots.size)
+    # the halves still to split, as position ranges [lo, hi) of ``order``
+    lo, hi, node = np.array([0]), np.array([roots.size]), np.array([nt_all])
+    parent[nt_all] = nt_all
+    free = nt_all + 1
+    while lo.size:
+        # gather the ranges one after another and sort each one along the
+        # wider extent of its centroids
+        size = hi - lo
+        start = np.cumsum(size) - size
+        seg = np.repeat(np.arange(lo.size), size)
+        pos = np.arange(size.sum()) + (lo - start)[seg]
+        c = cent[order[pos]]
+        extent = (np.maximum.reduceat(c, start)
+                  - np.minimum.reduceat(c, start))
+        key = c[np.arange(pos.size), np.argmax(extent, axis=1)[seg]]
+        order[pos] = order[pos[np.lexsort((key, seg))]]
+        mid = lo + size // 2
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        node = np.concatenate([node, node])
+        leaf = hi - lo == 1
+        parent[roots[order[lo[leaf]]]] = node[leaf]
+        lo, hi, up = lo[~leaf], hi[~leaf], node[~leaf]
+        node = free + np.arange(lo.size)
+        parent[node] = up
+        free += lo.size
+    return parent
+
+
+def _elimination_order(mesh):
+    """The interior edges in nested-dissection order.
+
+    The two triangles of an interior edge lie in different subtrees of
+    their lowest common ancestor (LCA) in ``_bisection_tree``, so the edges
+    with one LCA separate the edges below it.  Sorting by (-depth(LCA),
+    LCA, edge id) eliminates every edge after all edges whose LCA lies
+    strictly below its own (George, SINUM 10, 1973).  Depths and LCAs come
+    from binary lifting: ``jumps[k]`` is every node's 2^k-th ancestor."""
+    parent = _bisection_tree(mesh)
+    node = np.arange(parent.size)
+    top = np.flatnonzero(parent == node)[0]
+    jumps = [parent]
+    depth = (node != top).astype(np.int64)        # distance to jumps[-1]
+    while np.any(jumps[-1] != top):
+        depth += depth[jumps[-1]]
+        jumps.append(jumps[-1][jumps[-1]])
+    interior = np.flatnonzero(~mesh.edge_boundary)
+    a, b = mesh.edge_tri[interior].T
+    swap = depth[a] < depth[b]
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    lift = depth[a] - depth[b]
+    for k, jump in enumerate(jumps):
+        a = np.where(lift >> k & 1, jump[a], a)
+    for jump in reversed(jumps):
+        differ = jump[a] != jump[b]
+        a, b = np.where(differ, jump[a], a), np.where(differ, jump[b], b)
+    lca = np.where(a == b, a, parent[a])
+    key = (depth.max() - depth[lca]) * parent.size + lca
+    return interior[np.argsort(key, kind="stable")]
+
+
+@dataclass
+class Condensed:
+    """The per-mesh half of ``solve``: the element blocks Q_T, the
+    multiplier number of each triangle's local edges (-1 on the boundary)
+    and the LU factor of S, whose rows are in elimination order."""
+    Q: np.ndarray
+    L: np.ndarray
+    lu: object
+
+
+def condense(space: RTSpace) -> Condensed:
+    """Condense onto the interior-edge multipliers, number them by nested
+    dissection and factor S in that order."""
+    mesh = space.mesh
     # element blocks Q_T from the edge vectors e_i = P_{i+2} - P_{i+1}
-    P = system.space.opp_coords()
+    P = space.opp_coords()
     e = P[:, [2, 0, 1]] - P[:, [1, 2, 0]]
     Q = np.einsum("tia,tja->tij", e, e) / mesh.tri_area[:, None, None]
-    f3 = system.rhs_u[:, None] / 3.0
-    # rhs_sigma goes to one triangle per edge: the left one of an interior
-    # edge, the only one of a boundary edge
-    own = (s > 0) | mesh.edge_boundary[E]
-    r = np.where(own, s * system.rhs_sigma[E], 0.0)
-    # multiplier numbering: interior edges in edge order, -1 on the boundary
-    interior = ~mesh.edge_boundary
-    n = int(np.count_nonzero(interior))
+    order = _elimination_order(mesh)
+    n = order.size
     ipos = np.full(mesh.ne, -1, dtype=np.int64)
-    ipos[interior] = np.arange(n)
-    L = ipos[E]
+    ipos[order] = np.arange(n)
+    L = ipos[mesh.tri_edge]
     inner = L >= 0
     keep = inner[:, :, None] & inner[:, None, :]
     rows = np.broadcast_to(L[:, :, None], Q.shape)[keep]
     cols = np.broadcast_to(L[:, None, :], Q.shape)[keep]
     S = sp.coo_matrix((Q[keep], (rows, cols)), shape=(n, n)).tocsc()
-    b = np.einsum("tij,tj->ti", Q, r) + f3
-    rhs = np.bincount(L[inner], weights=b[inner], minlength=n)
     try:
-        lam = spla.splu(S).solve(rhs)
+        lu = spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError("sparse factorization failed: %s" % exc) from exc
+    return Condensed(Q, L, lu)
+
+
+def recover(cond: Condensed, system: SaddleSystem) -> MixedSolution:
+    """The per-load half of ``solve`` for a system on the mesh ``cond`` was
+    condensed on: the multipliers of this right-hand side, (sigma, u)
+    elementwise, and the residual and conservation checks against the
+    unreduced blocks."""
+    t0 = time.perf_counter()
+    mesh = system.space.mesh
+    E, s, Q, L = mesh.tri_edge, mesh.tri_sign, cond.Q, cond.L
+    f3 = system.rhs_u[:, None] / 3.0
+    # rhs_sigma goes to one triangle per edge: the left one of an interior
+    # edge, the only one of a boundary edge
+    own = (s > 0) | mesh.edge_boundary[E]
+    r = np.where(own, s * system.rhs_sigma[E], 0.0)
+    b = np.einsum("tij,tj->ti", Q, r) + f3
+    inner = L >= 0
+    n = cond.lu.shape[0]
+    lam = cond.lu.solve(np.bincount(L[inner], weights=b[inner], minlength=n))
     # local recovery; each edge takes its flux from its owning triangle
     d = r - np.append(lam, 0.0)[L]          # index -1 reads the appended 0
     sig_T = np.einsum("tij,tj->ti", Q, d) + f3
@@ -180,7 +301,14 @@ def solve(system: SaddleSystem) -> MixedSolution:
     wall = (time.perf_counter() - t0) * 1e3
     return MixedSolution(DofVector("RT", sig, mesh), DofVector("P0", u, mesh),
                          system.space, float(res_sigma), float(res_u),
-                         float(defect), wall)
+                         float(defect), n, cond.lu.nnz, wall)
+
+
+def solve(system: SaddleSystem) -> MixedSolution:
+    t0 = time.perf_counter()
+    sol = recover(condense(system.space), system)
+    sol.wall_ms = (time.perf_counter() - t0) * 1e3
+    return sol
 
 
 def solve_poisson(mesh: Mesh, problem: ProblemSpec) -> MixedSolution:

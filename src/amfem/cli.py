@@ -13,13 +13,16 @@ Subcommands and the options each one reads (every command also takes
 
 Outputs land in the directory given by --out (or the AMFEM_OUT environment
 variable).  Every run writes a run.meta with the options of the command
-that ran, as they took effect, the library versions and, for a uniform
-study, the loop options it never reads (unused_options).  A --config file
-holds key=value lines whose keys are the command's own long options
-(theta_tilde or theta-tilde); they are parsed like flags placed before the
-command line ones, so explicit flags win, and an unknown key or one that
-belongs to another command is an error.  A boolean such as two_stage takes
-0, 1, true or false.  Options must be spelled in full.
+that ran, as they took effect, the library versions and the options that
+took no effect (unused_options): the loop options of a uniform study, and
+the seed of a check whose suites draw no random numbers.  A solve also
+records the size of the factored system and the nonzeros stored for its
+factors (n_multipliers, factor_nnz).  A --config file holds key=value lines
+whose keys are the command's own long options (theta_tilde or
+theta-tilde); they are parsed like flags placed before the command line
+ones, so explicit flags win, and an unknown key or one that belongs to
+another command is an error.  A boolean such as two_stage takes 0, 1, true
+or false.  Options must be spelled in full.
 
 Exit codes: 0 success, 1 usage, configuration or input parse error,
 2 solver failure, 3 a check suite reported a failed assertion.
@@ -46,7 +49,7 @@ from .fespace import dof_to_text
 from .mesh import MeshFormatError, load_mesh, save_mesh, uniform_refine
 from .sources import FunctionSource, as_source
 from .verify import (SUITES, benchmark, benchmark_names, fit_points, fit_rate,
-                     run_suite, suite_csv, uniform_study)
+                     run_suite, suite_csv, suite_draws, uniform_study)
 
 __all__ = ["main"]
 
@@ -204,10 +207,17 @@ def _write(outdir, name, text):
     return path
 
 
+def _suites(args):
+    return [args.suite] if args.suite else sorted(SUITES)
+
+
 def _unused_options(args):
     """The options of the command that ran which took no effect: a uniform
-    study reads none of the loop options."""
+    study reads none of the loop options, and a check whose suites draw no
+    random numbers reads no seed."""
     opts = vars(args)
+    if args.command == "check":
+        return [] if any(map(suite_draws, _suites(args))) else ["seed"]
     if opts.get("uniform") is None and opts.get("mode") != "uniform":
         return []
     return sorted(name for name in ("two_stage", *asdict(AdaptParams()))
@@ -269,7 +279,9 @@ def _cmd_solve(args):
     sol = solve_poisson(mesh, problem)
     os.makedirs(args.out, exist_ok=True)
     line = "solve %s %s" % (label, _emit_solution(args.out, sol, problem))
-    _write_meta(args, (time.perf_counter() - t0) * 1e3)
+    _write_meta(args, (time.perf_counter() - t0) * 1e3,
+                {"n_multipliers": sol.n_multipliers,
+                 "factor_nnz": sol.factor_nnz})
     print(line)
     return 0
 
@@ -331,7 +343,7 @@ def _cmd_approx(args):
 
 def _cmd_check(args):
     t0 = time.perf_counter()
-    names = [args.suite] if args.suite else sorted(SUITES)
+    names = _suites(args)
     os.makedirs(args.out, exist_ok=True)
     failed = 0
     for name in names:

@@ -232,6 +232,16 @@ def test_check_single_suite(tmp_path):
     assert meta["unused_options"] == ""
 
 
+def test_check_records_an_unread_seed_as_unused(tmp_path):
+    res = run_cli("check", "--suite", "identities", "--seed", "1",
+                  "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    meta = read_meta(tmp_path)
+    assert meta["seed"] == "1" and meta["unused_options"] == "seed"
+    assert "identities.seed" not in (tmp_path / "check_identities.csv"
+                                     ).read_text()
+
+
 def test_check_reports_are_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
@@ -293,6 +303,9 @@ def test_run_meta_records_solver_and_peak_rss(tmp_path):
     meta = read_meta(tmp_path / "solve")
     assert meta["solver"] == SOLVER
     assert float(meta["peak_rss_mb"]) > 1.0
+    # 128 triangles: 176 interior edges, one multiplier each
+    assert int(meta["n_multipliers"]) == 176
+    assert int(meta["factor_nnz"]) > 176
     # approx never solves, so it names no solver
     res = run_cli("approx", "--benchmark", "checker_const", "--epsilon",
                   "1e-3", "--out", str(tmp_path / "approx"))

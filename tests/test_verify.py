@@ -7,11 +7,12 @@ from amfem.adapt import ConvergenceHistory
 from amfem.assembly import ProblemSpec
 from amfem.fespace import RTSpace, curl_matrix, div_matrix
 from amfem.mesh import uniform_refine
-from amfem.verify import (SUITES, benchmark, benchmark_names, check_helmholtz,
-                          fit_points, fit_rate, helmholtz_split, lshape_f,
-                          lshape_mesh, lshape_sigma, lshape_u, run_suite,
-                          smooth_f, smooth_sigma, smooth_u, suite_csv,
-                          uniform_study, unit_square_mesh)
+from amfem.verify import (SUITES, CheckResult, benchmark, benchmark_names,
+                          check_helmholtz, fit_points, fit_rate,
+                          helmholtz_split, lshape_f, lshape_mesh, lshape_sigma,
+                          lshape_u, run_suite, smooth_f, smooth_sigma,
+                          smooth_u, suite_csv, suite_draws, uniform_study,
+                          unit_square_mesh)
 
 
 def interior_lshape_points(rng, n):
@@ -182,6 +183,31 @@ def test_check_helmholtz_builds_one_mass_and_one_p1_factor(monkeypatch):
     assert len(built) == 1 and len(factored) == 1
 
 
+def test_check_helmholtz_factors_the_cr_matrix_once(monkeypatch):
+    """One Crouzeix-Raviart factorization per call, and one recovery, with
+    its residual and conservation checks, per field."""
+    from types import SimpleNamespace
+    from amfem import assembly, verify
+    factored, recovered = [], []
+    splu, recover = assembly.spla.splu, verify.recover
+
+    def counting_splu(A, *args, **kwargs):
+        factored.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    def counting_recover(cond, system):
+        recovered.append(system)
+        return recover(cond, system)
+
+    monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=counting_splu))
+    monkeypatch.setattr(verify, "recover", counting_recover)
+    mesh = uniform_refine(unit_square_mesh(), 2)
+    results = check_helmholtz(mesh, nvec=10)
+    assert all(r.passed for r in results)
+    n = int(np.count_nonzero(~mesh.edge_boundary))
+    assert factored == [(n, n)] and len(recovered) == 11
+
+
 def test_all_suites_pass():
     for name in sorted(SUITES):
         results = run_suite(name, seed=7)
@@ -208,6 +234,21 @@ def test_suite_seed_changes_recorded_values():
     a = suite_csv(run_suite("helmholtz", seed=1))
     b = suite_csv(run_suite("helmholtz", seed=2))
     assert a != b                # seed row differs even if checks all pass
+
+
+def test_seeded_suites_lead_with_their_seed():
+    assert [n for n in sorted(SUITES) if suite_draws(n)] == [
+        "estimator", "helmholtz", "marking"]
+    assert run_suite("marking", seed=4)[0] == CheckResult(
+        "marking.seed", 4.0, 4.0, True)
+
+
+@pytest.mark.parametrize("suite", ["approx", "identities", "mesh"])
+def test_suites_that_draw_nothing_ignore_the_seed(suite):
+    assert not suite_draws(suite)
+    a = suite_csv(run_suite(suite, seed=0))
+    assert a == suite_csv(run_suite(suite, seed=1))
+    assert "seed" not in a
 
 
 def test_uniform_study_rejects_negative_rounds():
