@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -226,6 +227,21 @@ def test_approx_reduces_oscillation_to_tolerance():
     assert np.sqrt(hist.records[-1].osc2) < eps
     assert np.all(np.diff(hist.column("nT")) > 0)
     assert all(r.stage == "approx" for r in hist.records)
+
+
+def test_approx_ladder_matches_golden():
+    """The whole greedy ladder of one ``approx`` run: counts per step and
+    the oscillation to the last bit, against a recorded run."""
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        "approx_smooth_2e-3.csv")
+    with open(path) as fh:
+        want = fh.read().splitlines()
+    mesh, hist = approx(smooth_f, benchmark("smooth_square").make()[0], 2e-3)
+    got = [want[0]] + ["%d,%d,%d,%d,%d,%r" % (
+        r.k, r.nT, r.nE, r.n_marked, r.n_bisected, float(r.osc2))
+        for r in hist.records]
+    assert hist.status == "tol" and mesh.nt == 15264
+    assert got == want
 
 
 def test_approx_p0_source_on_own_mesh_is_noop():
