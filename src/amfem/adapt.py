@@ -154,7 +154,13 @@ def osc_mark(report: EstimatorReport, theta_tilde: float,
              existing: MarkSet | None = None) -> MarkSet:
     """Enlarge a marked set until the triangles of its edge patches carry a
     theta_tilde fraction of the squared oscillation.  Greedy: repeatedly add
-    the edge contributing the most uncovered oscillation (ties by id)."""
+    the edge contributing the most uncovered oscillation (ties by id).
+
+    The greedy is a heap of ``(-gain, id)`` keys, popped in key order and
+    re-ranked when stale.  An initial key leaves the heap only when popped,
+    so the initial keys still in it come out in sorted order: the heap is
+    exactly a sorted stream of the initial keys merged with a small heap of
+    the re-ranked ones."""
     if not 0.0 <= theta_tilde <= 1.0:
         raise ValueError("theta_tilde must lie in [0, 1]")
     if existing is None:
@@ -178,21 +184,54 @@ def osc_mark(report: EstimatorReport, theta_tilde: float,
     free = np.where(covered_tri[pos], 0.0, side)
     gain = free[:, 0] + free[:, 1]
     ids = np.flatnonzero(gain > 0)      # marked edges have no gain left
-    heap = list(zip((-gain[ids]).tolist(), ids.tolist()))
-    heapq.heapify(heap)
+    order = ids[np.argsort(-gain[ids], kind="stable")]
+    # the stream, converted to Python lists in blocks that double in size:
+    # (-gain, id, left pos, right pos, left osc2, right osc2) per entry
+    stream = [[], [], [], [], [], []]
+    head = 0
+
+    def fill():
+        """Whether the stream has an entry at ``head``."""
+        done = len(stream[0])
+        if head < done:
+            return True
+        if done == order.size:
+            return False
+        take = order[done:2 * done + 1]
+        for col, arr in zip(stream, (-gain[take], take, pos[take, 0],
+                                     pos[take, 1], side[take, 0],
+                                     side[take, 1])):
+            col += arr.tolist()
+        return True
+
+    keys, eids, lefts, rights, lsides, rsides = stream
+    stale = []      # heap of re-ranked entries, same layout as the stream
+    cov = bytearray(covered_tri.view(np.uint8))
     picks = []
-    while covered < target and heap:
-        negg, eid = heapq.heappop(heap)
-        left, right = pos[eid]
-        g = ((0.0 if covered_tri[left] else side[eid, 0])
-             + (0.0 if covered_tri[right] else side[eid, 1]))
+    while covered < target:
+        if fill() and not (stale and stale[0] < (keys[head], eids[head])):
+            entry = (keys[head], eids[head], lefts[head], rights[head],
+                     lsides[head], rsides[head])
+            head += 1
+        elif stale:
+            entry = heapq.heappop(stale)
+        else:
+            break
+        negg, eid, left, right, lside, rside = entry
+        g = (0.0 if cov[left] else lside) + (0.0 if cov[right] else rside)
         if g <= 0:
             continue
-        if -negg > g and heap and -heap[0][0] > g:
-            heapq.heappush(heap, (-g, eid))   # stale entry, re-rank
-            continue
+        if -negg > g:
+            # the next key is the smaller of the stream head and the top
+            # of the stale heap
+            nxt = keys[head] if fill() else None
+            if stale and (nxt is None or stale[0][0] < nxt):
+                nxt = stale[0][0]
+            if nxt is not None and -nxt > g:
+                heapq.heappush(stale, (-g, eid, left, right, lside, rside))
+                continue
         picks.append(eid)
-        covered_tri[[left, right]] = True
+        cov[left] = cov[right] = 1
         covered += g
     if covered < target:
         raise AssertionError("could not cover the oscillation target")

@@ -64,6 +64,22 @@ def test_marks_match_reference(name):
     assert calls > 100
 
 
+@pytest.mark.parametrize("kind", ("continuous", "dyadic"))
+def test_marks_match_reference_past_one_block(kind):
+    """Thousands of edges: the sorted stream of initial keys is read across
+    many conversion blocks, interleaved with re-ranked entries."""
+    mesh = uniform_refine(benchmark("smooth_square").make()[0], 6)
+    rng = np.random.default_rng(6)
+    cont, dyadic = osc2_vectors(mesh.nt, rng)[:2]
+    osc2 = cont if kind == "continuous" else dyadic
+    report = EstimatorReport(mesh, np.zeros(mesh.ne), osc2)
+    for theta in (0.5, 0.95):
+        got = osc_mark(report, theta)
+        want = ref.osc_mark(report, theta)
+        assert len(want.edges) > 400
+        assert got.edges.tolist() == want.edges.tolist()
+
+
 def test_mesh_argument_defaults_to_report_mesh():
     mesh = uniform_refine(benchmark("lshape_sing").make()[0], 2)
     osc2 = np.random.default_rng(3).uniform(0.0, 1.0, mesh.nt)
