@@ -1,7 +1,8 @@
 """Property tests of newest-vertex bisection over random marked-edge sets at
 random depths on the three benchmark meshes, and of what rides on it: the
-exact transfer of RT and P0 fields to a refinement, and the elementwise
-conservation of the solve."""
+edge tables a refinement merges from its parent, the exact transfer of RT
+and P0 fields to a refinement, and the elementwise conservation of the
+solve."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from amfem.adapt import _combinatorial_check
 from amfem.assembly import ProblemSpec, solve_poisson
 from amfem.fespace import DofVector, RTSpace, div_matrix, prolongate, rt_affine
-from amfem.mesh import ancestor_map, refine_edges, uniform_refine
+from amfem.mesh import (Mesh, ancestor_map, load_mesh, refine_edges,
+                        save_mesh, uniform_refine)
 from amfem.sources import P0Source
-from amfem.verify import benchmark
+from amfem.verify import benchmark, unit_square_mesh
 
 BENCHMARKS = ("smooth_square", "lshape_sing", "checker_const")
 
@@ -92,6 +94,42 @@ def test_refine_edges_invariants(name, depth, data):
         assert_refinement(mesh, fine, marked, bisected)
         mesh = fine
     assert_nested(mesh, mesh0)
+
+
+TABLES = ("edge_verts", "edge_tri", "edge_boundary", "edge_len", "tri_edge",
+          "tri_sign", "tri_area", "tri_h", "live_pos")
+
+
+def assert_tables_from_scratch(mesh):
+    """The tables of ``mesh`` equal those of a mesh built from its arrays
+    with no parent to merge from."""
+    fresh = Mesh(mesh.points, mesh.tri_verts, mesh.tri_refedge, mesh.tri_gen,
+                 mesh.tri_parent, mesh.alive)
+    for name in TABLES:
+        got, want = getattr(mesh, name), getattr(fresh, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(meshes=nested_meshes(), reload=st.booleans(), data=st.data())
+def test_merged_tables_equal_a_fresh_build(meshes, reload, data):
+    coarse, fine = meshes
+    if reload:
+        coarse = load_mesh(save_mesh(coarse))
+        fine = refine_edges(coarse, data.draw(marked_edges(coarse)))[0]
+    finer = refine_edges(fine, data.draw(marked_edges(fine)))[0]
+    for mesh in (coarse, fine, finer, uniform_refine(fine, 1)):
+        assert_tables_from_scratch(mesh)
+
+
+def test_merged_tables_equal_a_fresh_build_on_the_square():
+    """The square has a single interior edge, the diagonal."""
+    mesh = unit_square_mesh()
+    for marked in ([0], [2], [0, 4]):
+        assert_tables_from_scratch(refine_edges(mesh, marked)[0])
+    for rounds in (0, 1, 2):
+        assert_tables_from_scratch(uniform_refine(mesh, rounds))
 
 
 def random_values(seed, n):
