@@ -9,8 +9,7 @@ variant that preprocesses the data oscillation.
 __version__ = "0.1.0"
 
 from .mesh import (Mesh, MeshFormatError, NotNestedError, load_mesh,
-                   save_mesh, initial_labeling, bisect_triangle, refine_edges,
-                   uniform_refine, mesh_stats)
+                   save_mesh, refine_edges, uniform_refine)
 from .sources import FunctionSource, P0Source, as_source
 from .fespace import (RTSpace, DofVector, interpolate_rt, prolongate,
                       curl_matrix)

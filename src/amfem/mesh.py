@@ -7,9 +7,8 @@ spaces).  Refinement never mutates a mesh in place; every operation builds
 and returns a new mesh value, so callers can hold on to the whole mesh
 hierarchy of an adaptive run.
 
-Refinement is newest-vertex bisection driven by edges: ``refine_edges``,
-``uniform_refine`` and ``bisect_triangle`` all flag edges of the input mesh,
-close the flag set (a triangle with a flagged edge flags its refinement
+Refinement is newest-vertex bisection driven by edges: ``refine_edges``
+and ``uniform_refine`` both flag edges of the input mesh, close the flag set (a triangle with a flagged edge flags its refinement
 edge, until nothing changes) and then bisect each triangle with a flagged
 edge once, twice or three times in one vectorized pass.
 
@@ -18,10 +17,14 @@ triangle rows keep their ids and are a prefix of the refined mesh's.  New
 vertices are the midpoints of the split edges, numbered from ``nv`` in
 ascending input edge id.  New rows come two per bisection, level by level:
 first the children of the bisected input triangles in ascending id order,
-then the children of those children that split again, in id order.  The
-edge ids are recomputed for every mesh, in lexicographic (min vid, max vid)
-order.  Ids beyond those of the input mesh are not stable across versions
-of amfem; compare meshes from different versions by vertex coordinates.
+then the children of those children that split again, in id order.  Edge
+ids follow the lexicographic (min vid, max vid) order on every mesh, so an
+edge that survives a refinement may change id.  A refined mesh merges its
+edge tables from the input mesh's: the unsplit input edges and the new
+edges of the appended rows, merged by key, and only the appended rows and
+new edges are computed.  Ids beyond those of the input mesh are not stable
+across versions of amfem; compare meshes from different versions by vertex
+coordinates.
 
 Text format for interchange::
 
@@ -35,14 +38,15 @@ genealogy is not preserved across a save/load round trip.
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 __all__ = [
     "Mesh",
     "MeshFormatError", "NotNestedError",
-    "load_mesh", "save_mesh", "initial_labeling",
-    "bisect_triangle", "refine_edges", "uniform_refine",
-    "mesh_stats", "triangle_angles", "ancestor_map",
+    "load_mesh", "save_mesh", "refine_edges", "uniform_refine",
+    "triangle_angles", "ancestor_map",
 ]
 
 
@@ -66,8 +70,12 @@ class Mesh:
     alive       (nt_all,) live flags;  live = ids of live triangles
     live_pos    (nt_all,) position of a live triangle in ``live``, else -1
 
-    The edge tables are rebuilt for the live triangles on construction; edge
-    ids are assigned in lexicographic (min vid, max vid) order:
+    The tables below cover the live triangles.  Edge ids follow the
+    lexicographic (min vid, max vid) order.  A mesh that refinement builds
+    carries over the values of its input mesh's surviving rows and unsplit
+    edges and computes only those of its appended rows and new edges; a
+    mesh built from arrays alone computes them all.  Both ways give the
+    same values:
 
     edge_verts  (ne, 2) with a < b
     edge_tri    (ne, 2) [left, right] triangle ids, -1 when absent
@@ -79,7 +87,8 @@ class Mesh:
     """
 
     def __init__(self, points, tri_verts, tri_refedge, tri_gen, tri_parent,
-                 alive, root=None, domain_area=None):
+                 alive, root=None, domain_area=None, _parent=None,
+                 _split=None):
         self.points = np.asarray(points, dtype=float)
         self.tri_verts = np.asarray(tri_verts, dtype=np.int64).reshape(-1, 3)
         self.tri_refedge = np.asarray(tri_refedge, dtype=np.int64)
@@ -91,7 +100,9 @@ class Mesh:
         if not finite.all():
             raise MeshFormatError("vertex %d has a non-finite coordinate"
                                   % int(np.argmin(finite)))
-        self._build_tables()
+        if _parent is None:
+            _parent, _split = _NO_PARENT, np.zeros(0, dtype=bool)
+        self._build_tables(_parent, _split)
         area = float(self.tri_area.sum())
         if domain_area is None:
             domain_area = area
@@ -103,57 +114,96 @@ class Mesh:
 
     # -- derived tables -------------------------------------------------
 
-    def _build_tables(self):
+    def _build_tables(self, parent, split):
+        """Tables of the live triangles.  Rows of ``parent`` that are still
+        live keep their values, and so do its edges not flagged in
+        ``split``; only the rows appended since and their new edges are
+        computed."""
         live = np.flatnonzero(self.alive)
         if live.size == 0:
             raise MeshFormatError("mesh has no live triangles")
         self.live = live
         self.live_pos = np.full(len(self.tri_verts), -1, dtype=np.int64)
         self.live_pos[live] = np.arange(live.size)
+        # the parent's surviving rows come first in live order, then the
+        # appended rows, whose ids are all higher
+        keep = self.alive[parent.live]
+        new = live[np.count_nonzero(keep):]
+        old = np.flatnonzero(~split)
+        old_keys = _edge_key(parent.edge_verts[old, 0],
+                             parent.edge_verts[old, 1])
 
-        tv = self.tri_verts[live]
-        p = self.points[tv]                      # (nl, 3, 2)
+        tv = self.tri_verts[new]
+        p = self.points[tv]                      # (n_new, 3, 2)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        if np.any(area2 <= 0):
-            bad = live[int(np.argmin(area2))]
+        self.tri_area = np.concatenate([parent.tri_area[keep], 0.5 * area2])
+        if np.any(self.tri_area <= 0):
+            bad = live[int(np.argmin(self.tri_area))]
             raise MeshFormatError("triangle %d has non-positive area" % bad)
-        self.tri_area = 0.5 * area2
 
         # edge i sits opposite local vertex i and is traversed
         # (v[i+1], v[i+2]) by the counterclockwise boundary walk
         ea = tv[:, [1, 2, 0]].ravel()
         eb = tv[:, [2, 0, 1]].ravel()
-        nv = len(self.points)
-        key = np.minimum(ea, eb) * nv + np.maximum(ea, eb)
-        ukey, inverse = np.unique(key, return_inverse=True)
-        uniq = np.column_stack([ukey // nv, ukey % nv])
-        self.edge_verts = uniq
-        self.tri_edge = inverse.reshape(-1, 3)
+        ukey, inverse = np.unique(_edge_key(np.minimum(ea, eb),
+                                            np.maximum(ea, eb)),
+                                  return_inverse=True)
+        # merge the new rows' keys into the surviving parent keys; an edge
+        # id is the rank of its key in the union
+        at = np.searchsorted(old_keys, ukey)
+        found = np.zeros(ukey.size, dtype=bool)
+        inside = at < old_keys.size
+        found[inside] = old_keys[at[inside]] == ukey[inside]
+        fresh, at_fresh = ukey[~found], at[~found]
+        fresh_id = np.arange(fresh.size) + at_fresh
+        old_id = np.arange(old.size) + np.cumsum(
+            np.bincount(at_fresh, minlength=old.size + 1))[:old.size]
+        ne = old.size + fresh.size
+        keys = np.empty(ne, dtype=np.int64)
+        keys[old_id] = old_keys
+        keys[fresh_id] = fresh
+        self.edge_verts = np.column_stack([keys >> 32, keys & 0xFFFFFFFF])
+        uid = np.empty(ukey.size, dtype=np.int64)
+        uid[found] = old_id[at[found]]
+        uid[~found] = fresh_id
+        remap = np.empty(len(parent.edge_verts), dtype=np.int64)
+        remap[old] = old_id
+        new_edge = uid[inverse].reshape(-1, 3)
+        self.tri_edge = np.concatenate([remap[parent.tri_edge[keep]],
+                                        new_edge])
         sign = np.where(ea < eb, 1, -1).astype(np.int8)
-        self.tri_sign = sign.reshape(-1, 3)
+        self.tri_sign = np.concatenate([parent.tri_sign[keep],
+                                        sign.reshape(-1, 3)])
 
-        ne = len(uniq)
         edge_tri = np.full((ne, 2), -1, dtype=np.int64)
         owner = np.repeat(live, 3)
-        for side, mask in ((0, sign > 0), (1, sign < 0)):
-            eids = inverse[mask]
+        all_edge = self.tri_edge.ravel()
+        all_sign = self.tri_sign.ravel()
+        for side, mask in ((0, all_sign > 0), (1, all_sign < 0)):
+            eids = all_edge[mask]
             if np.bincount(eids, minlength=ne).max() > 1:
                 raise MeshFormatError(
                     "non-conforming mesh: an edge is traversed twice in the "
                     "same direction (duplicate or misoriented triangle)")
             edge_tri[eids, side] = owner[mask]
         self.edge_tri = edge_tri
-        self.edge_boundary = (edge_tri < 0).any(axis=1)
+        self.edge_boundary = (edge_tri[:, 0] < 0) | (edge_tri[:, 1] < 0)
 
-        vec = self.points[uniq[:, 1]] - self.points[uniq[:, 0]]
-        self.edge_len = np.hypot(vec[:, 0], vec[:, 1])
+        # a new row's edge vectors give the lengths of its edges (hypot
+        # does not depend on the direction)
+        vec = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+        row_len = np.hypot(vec[..., 0], vec[..., 1])
+        edge_len = np.empty(ne)
+        edge_len[old_id] = parent.edge_len[old]
+        edge_len[new_edge] = row_len
+        self.edge_len = edge_len
+        self.tri_h = np.concatenate([parent.tri_h[keep], row_len.max(axis=1)])
 
-        lens = self.edge_len[self.tri_edge]
-        self.tri_h = lens.max(axis=1)
-
-        if np.bincount(tv.ravel(), minlength=nv).min() == 0:
+        nv = len(self.points)
+        if np.bincount(self.tri_verts[live].ravel(),
+                       minlength=nv).min() == 0:
             raise MeshFormatError("mesh has vertices not used by any live triangle")
         if ne != nv + live.size - 1:
             raise MeshFormatError(
@@ -176,6 +226,23 @@ class Mesh:
         return len(self.edge_verts)
 
 
+def _edge_key(lo, hi):
+    """Sort key of the edge (lo, hi), lo < hi: lexicographic, and the same
+    for every mesh whatever its vertex count."""
+    return lo << 32 | hi
+
+
+# the parent of a mesh built from its arrays alone: no rows, no edges
+_NO_PARENT = SimpleNamespace(
+    live=np.empty(0, dtype=np.int64),
+    edge_verts=np.empty((0, 2), dtype=np.int64),
+    edge_len=np.empty(0),
+    tri_edge=np.empty((0, 3), dtype=np.int64),
+    tri_sign=np.empty((0, 3), dtype=np.int8),
+    tri_area=np.empty(0),
+    tri_h=np.empty(0))
+
+
 # -- construction and I/O -------------------------------------------------
 
 def _label_longest_edge(points, tv):
@@ -189,14 +256,6 @@ def _label_longest_edge(points, tv):
     cand = l2 == best
     key = np.where(cand, tv, np.iinfo(np.int64).max)
     return np.argmin(key, axis=1).astype(np.int64)
-
-
-def _new_gen0(points, tv, refedge, root=None):
-    nt = len(tv)
-    return Mesh(points, tv, refedge,
-                np.zeros(nt, dtype=np.int64),
-                np.full(nt, -1, dtype=np.int64),
-                np.ones(nt, dtype=bool), root=root)
 
 
 def load_mesh(text):
@@ -295,7 +354,8 @@ def load_mesh(text):
     if np.any(missing):
         labels = _label_longest_edge(points, tv)
         refedge[missing] = labels[missing]
-    return _new_gen0(points, tv, refedge)
+    return Mesh(points, tv, refedge, np.zeros(nt, dtype=np.int64),
+                np.full(nt, -1, dtype=np.int64), np.ones(nt, dtype=bool))
 
 
 def save_mesh(mesh):
@@ -308,17 +368,6 @@ def save_mesh(mesh):
         out.append("%d %d %d %d" % (v[0], v[1], v[2], mesh.tri_refedge[t]))
     return "\n".join(out) + "\n"
 
-
-def initial_labeling(mesh):
-    """Relabel a generation-0 mesh with longest-edge refinement edges."""
-    if np.any(mesh.tri_gen != 0):
-        raise ValueError("initial labeling applies to generation-0 meshes only")
-    refedge = _label_longest_edge(mesh.points, mesh.tri_verts)
-    return _new_gen0(mesh.points.copy(), mesh.tri_verts.copy(), refedge,
-                     root=mesh._root)
-
-
-# -- refinement -----------------------------------------------------------
 
 def _refine(mesh, marked):
     """Newest-vertex bisection splitting every live edge flagged in the
@@ -385,20 +434,8 @@ def _refine(mesh, marked):
                 np.concatenate([mesh.tri_gen, gen]),
                 np.concatenate([mesh.tri_parent, parent]),
                 alive, root=mesh._root,
-                domain_area=mesh.domain_area)
+                domain_area=mesh.domain_area, _parent=mesh, _split=marked)
     return fine, bisected
-
-
-def bisect_triangle(mesh, t):
-    """Bisect live triangle t, restoring conformity; returns the new mesh."""
-    t = int(t)
-    if t < 0 or t >= len(mesh.tri_verts):
-        raise ValueError("no triangle with id %d" % t)
-    if not mesh.alive[t]:
-        raise ValueError("triangle %d is retired" % t)
-    marked = np.zeros(mesh.ne, dtype=bool)
-    marked[mesh.tri_edge[mesh.live_pos[t], mesh.tri_refedge[t]]] = True
-    return _refine(mesh, marked)[0]
 
 
 def refine_edges(mesh, marked):
@@ -474,17 +511,3 @@ def triangle_angles(p):
     cosang = (u * w).sum(2) / (np.hypot(u[..., 0], u[..., 1])
                                * np.hypot(w[..., 0], w[..., 1]))
     return np.sort(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))), axis=1)
-
-
-def mesh_stats(mesh):
-    """Summary dict: counts, minimum angle (degrees), max diameter,
-    boundary edge count."""
-    angles = triangle_angles(mesh.points[mesh.tri_verts[mesh.live]])
-    return {
-        "nv": mesh.nv,
-        "nt": mesh.nt,
-        "ne": mesh.ne,
-        "min_angle": float(angles[:, 0].min()),
-        "max_h": float(mesh.tri_h.max()),
-        "n_boundary_edges": int(mesh.edge_boundary.sum()),
-    }

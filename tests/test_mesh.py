@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from amfem.mesh import (Mesh, MeshFormatError, NotNestedError, ancestor_map,
-                        bisect_triangle, initial_labeling, load_mesh,
-                        mesh_stats, refine_edges, save_mesh, uniform_refine)
+                        load_mesh, refine_edges, save_mesh, triangle_angles,
+                        uniform_refine)
 from amfem.verify import lshape_mesh, unit_square_mesh
 
 REF_TRI = """amfemmesh 1
@@ -23,6 +23,17 @@ def refedge_pair(mesh, t):
     """Vertex pair (a, b), a < b, of live triangle t's refinement edge."""
     e = mesh.tri_edge[mesh.live_pos[t], mesh.tri_refedge[t]]
     return tuple(mesh.edge_verts[e].tolist())
+
+
+def bisect(mesh, t):
+    """Split live triangle t's refinement edge (both triangles of its
+    patch, plus whatever conformity needs)."""
+    return refine_edges(mesh, [mesh.tri_edge[mesh.live_pos[t],
+                                             mesh.tri_refedge[t]]])[0]
+
+
+def min_angle(mesh):
+    return triangle_angles(mesh.points[mesh.tri_verts[mesh.live]])[:, 0].min()
 
 
 def edge_id(mesh, a, b):
@@ -100,9 +111,8 @@ def test_refine_edges_empty_is_noop():
 def test_uniform_refine_square():
     m = uniform_refine(unit_square_mesh())
     assert (m.nv, m.nt, m.ne) == (9, 8, 16)
-    stats = mesh_stats(m)
-    assert stats["min_angle"] == pytest.approx(45.0, abs=1e-10)
-    assert stats["n_boundary_edges"] == 8
+    assert min_angle(m) == pytest.approx(45.0, abs=1e-10)
+    assert m.edge_boundary.sum() == 8
 
 
 def test_uniform_refine_quadruples_exactly():
@@ -118,7 +128,7 @@ def test_area_halving_exact():
     m = uniform_refine(lshape_mesh(), 2)
     t = int(m.live[7])
     area_parent = m.tri_area[m.live_pos[t]]
-    m2 = bisect_triangle(m, t)
+    m2 = bisect(m, t)
     kids = np.flatnonzero(m2.tri_parent == t)
     assert len(kids) == 2
     for k in kids:
@@ -136,7 +146,7 @@ def test_children_inherit_refinement_edge_rule():
     for i in range(3):
         a, b = int(v[(i + 1) % 3]), int(v[(i + 2) % 3])
         parent_pairs.add((min(a, b), max(a, b)))
-    m2 = bisect_triangle(m, t)
+    m2 = bisect(m, t)
     for k in np.flatnonzero(m2.tri_parent == t):
         assert refedge_pair(m2, k) in parent_pairs
 
@@ -259,18 +269,10 @@ def test_load_flips_clockwise_triangle():
     assert refedge_pair(m, t) == (0, 2)
 
 
-def test_bisect_retired_triangle_raises():
-    m = unit_square_mesh()
-    t = int(m.live[0])
-    m2 = bisect_triangle(m, t)
-    with pytest.raises(ValueError):
-        bisect_triangle(m2, t)
-
-
-def test_initial_labeling_refined_mesh_raises():
-    m = uniform_refine(unit_square_mesh())
-    with pytest.raises(ValueError):
-        initial_labeling(m)
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_refine_edges_rejects_unknown_edge_id(bad):
+    with pytest.raises(ValueError, match="no edge with id %d" % bad):
+        refine_edges(unit_square_mesh(), [0, bad])
 
 
 def test_ancestor_map_contains_centroids():
@@ -312,10 +314,11 @@ def test_ancestor_map_rejects_swapped_order():
 
 
 def test_mesh_stats_square():
-    stats = mesh_stats(unit_square_mesh())
-    assert stats["nv"] == 4 and stats["nt"] == 2 and stats["ne"] == 5
-    assert stats["max_h"] == pytest.approx(np.sqrt(2.0))
-    assert stats["min_angle"] == pytest.approx(45.0, abs=1e-10)
+    m = unit_square_mesh()
+    assert (m.nv, m.nt, m.ne) == (4, 2, 5)
+    assert m.tri_h.max() == pytest.approx(np.sqrt(2.0))
+    assert min_angle(m) == pytest.approx(45.0, abs=1e-10)
+    assert m.edge_boundary.sum() == 4
 
 
 def test_generation_growth_is_bounded_per_bisection():
@@ -324,5 +327,5 @@ def test_generation_growth_is_bounded_per_bisection():
     m = lshape_mesh()
     for _ in range(40):
         t = int(m.live[0])
-        m = bisect_triangle(m, t)
+        m = bisect(m, t)
     assert m.ne == m.nv + m.nt - 1
