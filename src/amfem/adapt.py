@@ -156,11 +156,10 @@ def osc_mark(report: EstimatorReport, theta_tilde: float,
     theta_tilde fraction of the squared oscillation.  Greedy: repeatedly add
     the edge contributing the most uncovered oscillation (ties by id).
 
-    The greedy is a heap of ``(-gain, id)`` keys, popped in key order and
-    re-ranked when stale.  An initial key leaves the heap only when popped,
-    so the initial keys still in it come out in sorted order: the heap is
-    exactly a sorted stream of the initial keys merged with a small heap of
-    the re-ranked ones."""
+    An initial ``(-gain, id)`` key leaves the heap only when popped, so the
+    initial keys still in it come out in sorted order.  The heap is
+    therefore exactly a sorted stream of the initial keys merged with a
+    small heap of the re-ranked (stale) entries."""
     if not 0.0 <= theta_tilde <= 1.0:
         raise ValueError("theta_tilde must lie in [0, 1]")
     if existing is None:
