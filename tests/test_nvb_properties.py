@@ -1,8 +1,8 @@
 """Property tests of newest-vertex bisection over random marked-edge sets at
 random depths on the three benchmark meshes, and of what rides on it: the
-edge tables a refinement merges from its parent, the exact transfer of RT
-and P0 fields to a refinement, and the elementwise conservation of the
-solve."""
+edge tables a refinement merges from its parent, the load data a source
+carries from mesh to mesh, the exact transfer of RT and P0 fields to a
+refinement, and the elementwise conservation of the solve."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +12,7 @@ from amfem.assembly import ProblemSpec, solve_poisson
 from amfem.fespace import DofVector, RTSpace, div_matrix, prolongate, rt_affine
 from amfem.mesh import (Mesh, ancestor_map, load_mesh, refine_edges,
                         save_mesh, uniform_refine)
-from amfem.sources import P0Source
+from amfem.sources import FunctionSource, P0Source
 from amfem.verify import benchmark, unit_square_mesh
 
 BENCHMARKS = ("smooth_square", "lshape_sing", "checker_const")
@@ -130,6 +130,40 @@ def test_merged_tables_equal_a_fresh_build_on_the_square():
         assert_tables_from_scratch(refine_edges(mesh, marked)[0])
     for rounds in (0, 1, 2):
         assert_tables_from_scratch(uniform_refine(mesh, rounds))
+
+
+def wavy_load(x, y):
+    """A load with no symmetry of the benchmark domains and nonzero
+    oscillation on every triangle."""
+    return np.exp(x - 0.3 * y) * np.sin(3.0 * x + 2.0 * y + 0.5)
+
+
+LOAD_READS = ("cell_integrals", "cell_means", "cell_osc2")
+
+
+def assert_load_like_fresh(src, mesh):
+    """What ``src`` gives on ``mesh`` equals a new source's first look."""
+    fresh = FunctionSource(src.f)
+    for name in LOAD_READS:
+        got, want = getattr(src, name)(mesh), getattr(fresh, name)(mesh)
+        assert np.array_equal(got, want), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(meshes=nested_meshes(), reload=st.booleans(), data=st.data())
+def test_carried_load_equals_a_fresh_evaluation(meshes, reload, data):
+    """One source read along a nested sequence, back on a coarser mesh, and
+    on two different refinements of one mesh in alternation."""
+    coarse, fine = meshes
+    if reload:
+        coarse = load_mesh(save_mesh(coarse))
+        fine = refine_edges(coarse, data.draw(marked_edges(coarse)))[0]
+    finer = refine_edges(fine, data.draw(marked_edges(fine)))[0]
+    other = refine_edges(fine, data.draw(marked_edges(fine)))[0]
+    src = FunctionSource(wavy_load)
+    for mesh in (coarse, fine, finer, coarse, fine, other, finer, other,
+                 uniform_refine(other, 1), coarse):
+        assert_load_like_fresh(src, mesh)
 
 
 def random_values(seed, n):
