@@ -360,14 +360,58 @@ class CountingLoad:
         return self.f(x, y)
 
 
-def test_amfem_evaluates_load_once_per_mesh():
+def record_meshes(monkeypatch, mesh0):
+    """The meshes a driver visits, starting with ``mesh0``: every mesh
+    that ``refine_edges`` returns to the adaptive drivers is appended."""
+    from amfem import adapt
+    meshes = [mesh0]
+    real = adapt.refine_edges
+
+    def recording(mesh, marked):
+        out = real(mesh, marked)
+        meshes.append(out[0])
+        return out
+
+    monkeypatch.setattr(adapt, "refine_edges", recording)
+    return meshes
+
+
+def assert_load_once_per_row(calls, meshes):
+    """One evaluation per mesh, of 6 points on each row that is live there
+    and was not live on the previous mesh; 6 points per row in total."""
+    new = [meshes[0].nt] + [np.setdiff1d(m.live, p.live).size
+                            for p, m in zip(meshes, meshes[1:])]
+    assert calls == [6 * n for n in new]
+    ever = np.unique(np.concatenate([m.live for m in meshes]))
+    assert sum(calls) == 6 * ever.size
+
+
+def test_amfem_evaluates_load_once_per_row(monkeypatch):
     mesh0, prob = benchmark("lshape_sing").make()
+    meshes = record_meshes(monkeypatch, mesh0)
     load = CountingLoad(prob.f)
     prob = ProblemSpec(f=load, sigma_exact=prob.sigma_exact)
     _, _, hist = amfem(mesh0, prob, AdaptParams(epsilon=0.3), monitors=True)
     assert len(hist.records) > 2
-    assert len(load.calls) == len(hist.records)
-    assert load.calls == [6 * r.nT for r in hist.records]
+    assert len(meshes) == len(hist.records)
+    assert_load_once_per_row(load.calls, meshes)
+
+
+def test_approx_evaluates_load_once_per_row(monkeypatch):
+    mesh0, _ = benchmark("smooth_square").make()
+    meshes = record_meshes(monkeypatch, mesh0)
+    load = CountingLoad(smooth_f)
+    _, hist = approx(load, mesh0, 2e-3)
+    assert len(hist.records) > 2
+    assert len(meshes) == len(hist.records)
+    assert_load_once_per_row(load.calls, meshes)
+
+
+def test_approx_rejects_a_non_finite_load():
+    mesh0, _ = benchmark("smooth_square").make()
+    with pytest.raises(ValueError, match="not finite .* of triangle 0$"):
+        approx(lambda x, y: np.where(x > 0.9, np.nan, 1.0), mesh0, 1e-3,
+               max_iters=5)
 
 
 def test_amfem_builds_one_mass_matrix_per_mesh(monkeypatch):

@@ -133,3 +133,11 @@ def test_smooth_error_decreases_under_refinement():
         m = uniform_refine(m)
         errs.append(error_sigma(solve_poisson(m, prob), smooth_sigma))
     assert all(b < 0.6 * a for a, b in zip(errs, errs[1:]))
+
+
+def test_solve_rejects_a_non_finite_load():
+    """The first triangle whose load is not finite is named; triangle 0 of
+    the square lies below y = 0.9 at every quadrature point."""
+    load = FunctionSource(lambda x, y: np.where(y > 0.9, np.inf, 1.0))
+    with pytest.raises(ValueError, match="not finite .* of triangle 1$"):
+        solve_poisson(unit_square_mesh(), ProblemSpec(f=load))
