@@ -118,7 +118,8 @@ class Mesh:
         """Tables of the live triangles.  Rows of ``parent`` that are still
         live keep their values, and so do its edges not flagged in
         ``split``; only the rows appended since and their new edges are
-        computed."""
+        computed.  Rows are gathered with np.take and np.compress, several
+        times faster than fancy and boolean indexing of 2-d arrays."""
         live = np.flatnonzero(self.alive)
         if live.size == 0:
             raise MeshFormatError("mesh has no live triangles")
@@ -129,16 +130,21 @@ class Mesh:
         # appended rows, whose ids are all higher
         keep = self.alive[parent.live]
         new = live[np.count_nonzero(keep):]
+
+        def carried(table):
+            """The rows of a parent table whose triangles stay live."""
+            return np.compress(keep, table, axis=0)
+
         old = np.flatnonzero(~split)
         old_keys = _edge_key(parent.edge_verts[old, 0],
                              parent.edge_verts[old, 1])
 
-        tv = self.tri_verts[new]
+        tv = np.take(self.tri_verts, new, axis=0)
         p = np.take(self.points, tv, axis=0)     # (n_new, 3, 2)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        self.tri_area = np.concatenate([parent.tri_area[keep], 0.5 * area2])
+        self.tri_area = np.concatenate([carried(parent.tri_area), 0.5 * area2])
         if np.any(self.tri_area <= 0):
             bad = live[int(np.argmin(self.tri_area))]
             raise MeshFormatError("triangle %d has non-positive area" % bad)
@@ -171,10 +177,10 @@ class Mesh:
         remap = np.empty(len(parent.edge_verts), dtype=np.int64)
         remap[old] = old_id
         new_edge = uid[inverse].reshape(-1, 3)
-        self.tri_edge = np.concatenate([remap[parent.tri_edge[keep]],
+        self.tri_edge = np.concatenate([remap[carried(parent.tri_edge)],
                                         new_edge])
         sign = np.where(ea < eb, 1, -1).astype(np.int8)
-        self.tri_sign = np.concatenate([parent.tri_sign[keep],
+        self.tri_sign = np.concatenate([carried(parent.tri_sign),
                                         sign.reshape(-1, 3)])
 
         edge_tri = np.full((ne, 2), -1, dtype=np.int64)
@@ -193,8 +199,7 @@ class Mesh:
 
         # one length per fresh edge, from its key's endpoints (a difference
         # of coordinates only changes sign with the direction, and hypot
-        # ignores the sign); a new row's diameter is its longest edge.
-        # np.take gathers rows several times faster than fancy indexing.
+        # ignores the sign); a new row's diameter is its longest edge
         vec = (np.take(self.points, fresh & 0xFFFFFFFF, axis=0)
                - np.take(self.points, fresh >> 32, axis=0))
         edge_len = np.empty(ne)
@@ -202,10 +207,11 @@ class Mesh:
         edge_len[fresh_id] = np.hypot(vec[:, 0], vec[:, 1])
         self.edge_len = edge_len
         row_len = np.take(edge_len, new_edge.T)     # (3, n_new)
-        self.tri_h = np.concatenate([parent.tri_h[keep], row_len.max(axis=0)])
+        self.tri_h = np.concatenate([carried(parent.tri_h),
+                                     row_len.max(axis=0)])
 
         nv = len(self.points)
-        if np.bincount(self.tri_verts[live].ravel(),
+        if np.bincount(np.take(self.tri_verts, live, axis=0).ravel(),
                        minlength=nv).min() == 0:
             raise MeshFormatError("mesh has vertices not used by any live triangle")
         if ne != nv + live.size - 1:
