@@ -166,6 +166,24 @@ def test_carried_load_equals_a_fresh_evaluation(meshes, reload, data):
         assert_load_like_fresh(src, mesh)
 
 
+def test_carried_load_after_a_single_bisection():
+    """A coarser mesh read after a finer one can leave a single row to
+    evaluate; it must round as it does in a batch.  The square, read with
+    its bottom edge as a refinement edge, splits one triangle."""
+    mesh = load_mesh("amfemmesh 1\n4 2\n0 0\n1 0\n1 1\n0 1\n"
+                     "0 1 2 2\n0 2 3 1\n")
+    fine, bisected = refine_edges(mesh, [0])
+    assert len(bisected) == 1
+    rng = np.random.default_rng(0)
+    for a, b, c, d, e in 3.0 * rng.standard_normal((20, 5)):
+        def load(x, y):
+            return np.exp(a * x + b * y) * np.sin(c * x + d * y + e)
+
+        src = FunctionSource(load)
+        for m in (fine, mesh):
+            assert_load_like_fresh(src, m)
+
+
 def random_values(seed, n):
     return np.random.default_rng(seed).standard_normal(n)
 
