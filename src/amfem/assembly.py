@@ -15,7 +15,7 @@ symmetric positive definite (Arnold & Brezzi, M2AN 19, 1985; Marini,
 SINUM 22, 1985).  With e_i = P_{i+2} - P_{i+1} the edge vector opposite
 local vertex i, s = tri_sign, |T| = tri_area and f_T = rhs_u[T]:
 
-    Q_T[i, j] = e_i . e_j / |T|                  (element block)
+    Q_T[i, j] = e_i . e_j / |T|                  (RTSpace.element_blocks)
     r_T,i     = s_T,i rhs_sigma[E]   on one triangle of each edge, else 0
     S lambda  = sum_T (Q_T r_T + f_T / 3)        (interior edges only)
     c_T,i     = lambda_E on interior edges, 0 on boundary edges
@@ -27,21 +27,17 @@ so (sigma, u) is the solution of the unreduced system to roundoff.  It is
 checked against the unreduced blocks after every solve: the residual of
 both block rows, and div sigma = (cell mean of f) elementwise.
 
-``solve`` is ``condense`` (per mesh: Q_T, the multiplier numbering and the
-LU factor of S) followed by ``recover`` (per right-hand side: lambda,
-sigma, u and the checks), so several loads on one mesh share one factor.
+``solve`` is ``condense`` (per mesh: the multiplier numbering and the LU
+factor of S) followed by ``recover`` (per right-hand side: lambda, sigma, u
+and the checks), so several loads on one mesh share one factor.  Both read
+Q_T from the space, which computes it once per mesh and derives the flux
+mass M from it too.
 
 The multipliers are numbered by nested dissection read off the bisection
-genealogy.  Each bisection splits a triangle in two, and the interior
-edges whose two triangles have their lowest common ancestor (LCA) at a
-node separate the edges below it.  Ordering by (-depth(LCA), LCA, edge id)
-eliminates every separator after the separators inside it (George,
-SINUM 10, 1973; the bisection tree as a space decomposition: Chen,
-Nochetto & Xu, Numer. Math. 120, 2012).  The generation-0 triangles, which
-are all of a mesh loaded from a file, are joined into one tree by
-recursive coordinate bisection of their centroids.  S is assembled in that
-order and factored by SuperLU with the natural column order, symmetric
-mode and diagonal pivots.
+genealogy (``_elimination_order``; the bisection tree as a space
+decomposition: Chen, Nochetto & Xu, Numer. Math. 120, 2012).  S is
+assembled in that order and factored by SuperLU with the natural column
+order, symmetric mode and diagonal pivots.
 """
 from __future__ import annotations
 
@@ -221,10 +217,9 @@ def _elimination_order(mesh):
 
 @dataclass
 class Condensed:
-    """The per-mesh half of ``solve``: the element blocks Q_T, the
-    multiplier number of each triangle's local edges (-1 on the boundary)
-    and the LU factor of S, whose rows are in elimination order."""
-    Q: np.ndarray
+    """The per-mesh half of ``solve``: the multiplier number of each
+    triangle's local edges (-1 on the boundary) and the LU factor of S,
+    whose rows are in elimination order."""
     L: np.ndarray
     lu: object
 
@@ -233,10 +228,7 @@ def condense(space: RTSpace) -> Condensed:
     """Condense onto the interior-edge multipliers, number them by nested
     dissection and factor S in that order."""
     mesh = space.mesh
-    # element blocks Q_T from the edge vectors e_i = P_{i+2} - P_{i+1}
-    P = space.opp_coords()
-    e = P[:, [2, 0, 1]] - P[:, [1, 2, 0]]
-    Q = np.einsum("tia,tja->tij", e, e) / mesh.tri_area[:, None, None]
+    Q = space.element_blocks()
     order = _elimination_order(mesh)
     n = order.size
     ipos = np.full(mesh.ne, -1, dtype=np.int64)
@@ -252,7 +244,7 @@ def condense(space: RTSpace) -> Condensed:
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError("sparse factorization failed: %s" % exc) from exc
-    return Condensed(Q, L, lu)
+    return Condensed(L, lu)
 
 
 def recover(cond: Condensed, system: SaddleSystem) -> MixedSolution:
@@ -260,9 +252,9 @@ def recover(cond: Condensed, system: SaddleSystem) -> MixedSolution:
     condensed on: the multipliers of this right-hand side, (sigma, u)
     elementwise, and the residual and conservation checks against the
     unreduced blocks."""
-    t0 = time.perf_counter()
     mesh = system.space.mesh
-    E, s, Q, L = mesh.tri_edge, mesh.tri_sign, cond.Q, cond.L
+    E, s, L = mesh.tri_edge, mesh.tri_sign, cond.L
+    Q = system.space.element_blocks()
     f3 = system.rhs_u[:, None] / 3.0
     # rhs_sigma goes to one triangle per edge: the left one of an interior
     # edge, the only one of a boundary edge
@@ -293,15 +285,13 @@ def recover(cond: Condensed, system: SaddleSystem) -> MixedSolution:
     # against the row magnitudes (the fluxes actually summed), since dividing
     # by tiny element areas would only amplify representation roundoff.
     flux_scale = np.abs(system.B) @ np.abs(sig)
-    defect = np.max(np.abs(system.B @ sig - system.rhs_u)
-                    / (1.0 + np.abs(system.rhs_u) + flux_scale))
+    defect = np.max(np.abs(r2) / (1.0 + np.abs(system.rhs_u) + flux_scale))
     if defect > CONSERVATION_TOL:
         raise SolverError("conservation defect %.3e exceeds %.1e"
                           % (defect, CONSERVATION_TOL))
-    wall = (time.perf_counter() - t0) * 1e3
     return MixedSolution(DofVector("RT", sig, mesh), DofVector("P0", u, mesh),
                          system.space, float(res_sigma), float(res_u),
-                         float(defect), n, cond.lu.nnz, wall)
+                         float(defect), n, cond.lu.nnz)
 
 
 def solve(system: SaddleSystem) -> MixedSolution:
@@ -315,16 +305,15 @@ def solve_poisson(mesh: Mesh, problem: ProblemSpec) -> MixedSolution:
     return solve(assemble(mesh, problem))
 
 
-def _quad_norm2_diff(mesh, a0, c, tau):
+def _quad_norm2_diff(space, a0, c, tau):
     """Per live triangle, the squared L2 norm of (tau - affine field)."""
-    coords = mesh.points[mesh.tri_verts[mesh.live]]
     bary, w = quadrature.tri_rule()
-    pts = quadrature.tri_points(coords, bary)
+    pts = quadrature.tri_points(space.opp_coords(), bary)
     x, y = pts[..., 0], pts[..., 1]
     tx, ty = tau(x, y)
     dx = tx - (a0[:, None, 0] + c[:, None] * x)
     dy = ty - (a0[:, None, 1] + c[:, None] * y)
-    return (dx ** 2 + dy ** 2) @ w * mesh.tri_area
+    return (dx ** 2 + dy ** 2) @ w * space.mesh.tri_area
 
 
 def error_sigma(sol: MixedSolution, reference) -> float:
@@ -337,4 +326,4 @@ def error_sigma(sol: MixedSolution, reference) -> float:
         M = rt_mass_matrix(reference.space)
         return float(np.sqrt(max(d @ (M @ d), 0.0)))
     a0, c = sol.affine()
-    return float(np.sqrt(_quad_norm2_diff(sol.mesh, a0, c, reference).sum()))
+    return float(np.sqrt(_quad_norm2_diff(sol.space, a0, c, reference).sum()))

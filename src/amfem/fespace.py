@@ -15,8 +15,10 @@ tangent; its flux through its own edge is 1 and through the other two edges
 is identically zero, so the divergence matrix has entries +-1.
 
 The operators of the complex P1 -> RT0 -> P0 are sparse matrices, one
-implementation each: ``curl_matrix``, ``div_matrix`` and the closed-form
-flux mass ``rt_mass_matrix``.  The P0 projection of f is ``cell_means``.
+implementation each: ``curl_matrix``, ``div_matrix`` and the flux mass
+``rt_mass_matrix``, which reads the one element kernel
+``RTSpace.element_blocks`` that the hybridized solve in ``assembly`` reads
+too.  The P0 projection of f is ``cell_means``.
 """
 from __future__ import annotations
 
@@ -36,11 +38,22 @@ __all__ = ["RTSpace", "DofVector", "interpolate_rt", "prolongate",
 class RTSpace:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
+        self._Q = None
         self._mass = None
 
     def opp_coords(self):
         """(nl, 3, 2) coordinates of the vertex opposite each local edge."""
         return self.mesh.points[self.mesh.tri_verts[self.mesh.live]]
+
+    def element_blocks(self):
+        """(nl, 3, 3) Crouzeix-Raviart blocks Q_T[i, j] = e_i . e_j / |T|,
+        e_i = P_{i+2} - P_{i+1}; computed once, the first time it is asked."""
+        if self._Q is None:
+            P = self.opp_coords()
+            e = P[:, [2, 0, 1]] - P[:, [1, 2, 0]]
+            self._Q = (np.einsum("tia,tja->tij", e, e)
+                       / self.mesh.tri_area[:, None, None])
+        return self._Q
 
 
 _KINDS = ("RT", "P0", "P1")
@@ -154,18 +167,19 @@ def prolongate(dof: DofVector, fine: Mesh) -> DofVector:
 
 def rt_mass_matrix(space: RTSpace):
     """Sparse flux mass matrix M_ij = integral of phi_i . phi_j, from the
-    closed-form local mass (Bahriawati & Carstensen, CMAM 5, 2005): with
-    d_i = P_i - c the offsets of the vertices from the centroid,
-    M_T[i, j] = s_i s_j (d_i . d_j + sum_k |d_k|^2 / 12) / (4|T|)."""
+    closed-form local mass (Bahriawati & Carstensen, CMAM 5, 2005) as an
+    image of Q_T: the vertex offsets from the centroid are d = A e, with
+    d_i = (e_{i+1} - e_{i+2}) / 3, so M_T = s s^T o (G + tr G / 12) / 4
+    for G = A Q_T A^T, the Gram matrix of d over |T|."""
     if space._mass is not None:
         return space._mass
     m = space.mesh
-    P = space.opp_coords()
-    d = P - P.mean(axis=1, keepdims=True)
-    G = np.einsum("tia,tja->tij", d, d)
+    A = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]]) / 3.0
+    G = np.einsum("ia,tab,jb->tij", A, space.element_blocks(), A,
+                  optimize=True)
     G += np.trace(G, axis1=1, axis2=2)[:, None, None] / 12.0
     s = m.tri_sign.astype(float)
-    loc = G * s[:, :, None] * s[:, None, :] / (4.0 * m.tri_area)[:, None, None]
+    loc = G * (s[:, :, None] * s[:, None, :] / 4.0)
     rows = np.repeat(m.tri_edge, 3, axis=1).ravel()
     cols = np.tile(m.tri_edge, (1, 3)).ravel()
     M = sp.coo_matrix((loc.ravel(), (rows, cols)),

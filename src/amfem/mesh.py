@@ -383,8 +383,8 @@ def _refine(mesh, marked):
     boolean array ``marked`` (indexed by edge id; extended in place by the
     closure).  Returns ``(mesh, bisected)`` with the bisected row ids in
     ascending order."""
-    live = mesh.live
-    ref = mesh.tri_edge[np.arange(live.size), mesh.tri_refedge[live]]
+    live, r = mesh.live, np.take(mesh.tri_refedge, mesh.live)
+    ref = mesh.tri_edge[np.arange(live.size), r]
     # closure: a triangle with a split edge must split its refinement edge
     front = np.flatnonzero(marked)
     while front.size:
@@ -407,8 +407,8 @@ def _refine(mesh, marked):
     # never split, so a mesh triangle is bisected at most three times and
     # the loop ends after three passes.
     n0 = n = len(mesh.tri_verts)
-    rows, verts, r = live, mesh.tri_verts[live], mesh.tri_refedge[live]
-    edges, gen = mesh.tri_edge, mesh.tri_gen[live]
+    rows, verts = live, np.take(mesh.tri_verts, live, axis=0)
+    edges, gen = mesh.tri_edge, np.take(mesh.tri_gen, live)
     parts = []
     while True:
         k = np.arange(rows.size)
@@ -417,7 +417,8 @@ def _refine(mesh, marked):
         if not go.any():
             break
         rows, verts, r, edges, gen, e = (
-            rows[go], verts[go], r[go], edges[go], gen[go], e[go])
+            np.compress(go, t, axis=0)
+            for t in (rows, verts, r, edges, gen, e))
         k = np.arange(rows.size)
         va, vb, vc = verts[k, r], verts[k, (r + 1) % 3], verts[k, (r + 2) % 3]
         eb, ec = edges[k, (r + 1) % 3], edges[k, (r + 2) % 3]

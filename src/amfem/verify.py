@@ -111,40 +111,35 @@ def _sing_grad(r, th):
     return -amp * np.sin(th / 3.0), amp * np.cos(th / 3.0)
 
 
-def lshape_u(x, y):
-    """(1-x^2)(1-y^2) r^(2/3) sin(2 theta/3) on the L-shaped domain; vanishes
-    on the outer square and on both edges meeting the reentrant corner."""
+def _lshape_factors(x, y):
+    """The cutoff Phi = (1-x^2)(1-y^2) with its gradient and Laplacian, and
+    the singular factor S = r^(2/3) sin(2 theta/3) with its gradient."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     r, th = _polar(x, y)
-    return (1.0 - x * x) * (1.0 - y * y) * r ** (2.0 / 3.0) * np.sin(
-        2.0 * th / 3.0)
+    return ((1.0 - x * x) * (1.0 - y * y),
+            (-2.0 * x * (1.0 - y * y), -2.0 * y * (1.0 - x * x)),
+            -2.0 * (1.0 - y * y) - 2.0 * (1.0 - x * x),
+            r ** (2.0 / 3.0) * np.sin(2.0 * th / 3.0), _sing_grad(r, th))
+
+
+def lshape_u(x, y):
+    """(1-x^2)(1-y^2) r^(2/3) sin(2 theta/3) on the L-shaped domain; vanishes
+    on the outer square and on both edges meeting the reentrant corner."""
+    phi, _, _, S, _ = _lshape_factors(x, y)
+    return phi * S
 
 
 def lshape_f(x, y):
     """Closed-form -Laplacian of lshape_u.  The singular factor S is
     harmonic, so f = -lap(Phi) S - 2 grad(Phi).grad(S); it blows up like
     r^(-1/3) at the corner but stays square integrable."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r, th = _polar(x, y)
-    S = r ** (2.0 / 3.0) * np.sin(2.0 * th / 3.0)
-    Sx, Sy = _sing_grad(r, th)
-    phix = -2.0 * x * (1.0 - y * y)
-    phiy = -2.0 * y * (1.0 - x * x)
-    lap_phi = -2.0 * (1.0 - y * y) - 2.0 * (1.0 - x * x)
+    _, (phix, phiy), lap_phi, S, (Sx, Sy) = _lshape_factors(x, y)
     return -lap_phi * S - 2.0 * (phix * Sx + phiy * Sy)
 
 
 def lshape_sigma(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r, th = _polar(x, y)
-    S = r ** (2.0 / 3.0) * np.sin(2.0 * th / 3.0)
-    Sx, Sy = _sing_grad(r, th)
-    phi = (1.0 - x * x) * (1.0 - y * y)
-    phix = -2.0 * x * (1.0 - y * y)
-    phiy = -2.0 * y * (1.0 - x * x)
+    phi, (phix, phiy), _, S, (Sx, Sy) = _lshape_factors(x, y)
     return -(phix * S + phi * Sx), -(phiy * S + phi * Sy)
 
 
@@ -437,7 +432,7 @@ def check_projection_gap():
     sol = solve_poisson(mesh_h, problem)
     anc, num2 = _coarse_dev2(sol.u.values, mesh_h, mesh_H)
     a0, cc = sol.affine()
-    sig2 = _quad_norm2_diff(mesh_h, a0, cc, lambda x, y: (0.0 * x, 0.0 * y))
+    sig2 = _quad_norm2_diff(sol.space, a0, cc, lambda x, y: (0.0 * x, 0.0 * y))
     den2 = np.bincount(anc, weights=sig2, minlength=mesh_H.nt)
     ok = den2 > 0
     ratio = np.sqrt(num2[ok]) / (mesh_H.tri_h[ok] * np.sqrt(den2[ok]))

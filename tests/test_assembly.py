@@ -37,6 +37,28 @@ def test_solution_satisfies_blocks():
     assert sol.wall_ms > 0.0
 
 
+def test_one_element_kernel_per_mesh(monkeypatch):
+    """A solve gathers the element coordinates once: the mass matrix,
+    the condensation and the recovery all read the space's Q_T."""
+    gathers = []
+    opp_coords = RTSpace.opp_coords
+
+    def counting(space):
+        gathers.append(space)
+        return opp_coords(space)
+
+    monkeypatch.setattr(RTSpace, "opp_coords", counting)
+    m = uniform_refine(lshape_mesh(), 2)
+    sys_ = assemble(m, ProblemSpec(f=smooth_f))
+    solve(sys_)
+    assert gathers == [sys_.space]
+    Q = sys_.space.element_blocks()
+    for t, row in enumerate(m.live):
+        P = m.points[m.tri_verts[row]]
+        e = np.array([P[(i + 2) % 3] - P[(i + 1) % 3] for i in range(3)])
+        assert np.allclose(Q[t], e @ e.T / m.tri_area[t], rtol=1e-14)
+
+
 def test_conservation_defect_matches_recomputation():
     m = uniform_refine(lshape_mesh(), 2)
     prob = ProblemSpec(f=smooth_f)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from amfem.adapt import HISTORY_COLUMNS
+from amfem.estimator import oscillation
 from amfem.fespace import dof_from_text
 from amfem.mesh import load_mesh
+from amfem.verify import benchmark
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "solve_smooth_u3.txt")
@@ -147,11 +149,27 @@ def test_adapt_history_file(tmp_path):
 
 
 def test_adapt_two_stage(tmp_path):
+    """Stage 2 solves with the projected load and no exact flux, so its
+    history rows read osc2 = 0 and err = nan.  The summary line and osc.csv
+    evaluate the final solution against the original f and sigma_exact."""
     res = run_cli("adapt", "--benchmark", "smooth_square", "--epsilon",
                   "0.3", "--two-stage", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     text = (tmp_path / "history.csv").read_text()
     assert ",approx," in text and ",amfem," in text
+    row = dict(zip(HISTORY_COLUMNS, text.strip().splitlines()[-1].split(",")))
+    assert row["stage"] == "amfem"
+    assert float(row["osc2"]) == 0.0 and np.isnan(float(row["err"]))
+    got = parse_summary(res.stdout.strip())
+    assert float(got["osc2"]) > 0.0 and np.isfinite(float(got["err"]))
+    mesh = load_mesh((tmp_path / "mesh.txt").read_text())
+    _, problem = benchmark("smooth_square").make()
+    want = oscillation(problem.f, mesh)
+    lines = (tmp_path / "osc.csv").read_text().strip().splitlines()[1:]
+    # one row per live triangle, in the live order mesh.txt is written in
+    osc2 = np.loadtxt(lines, delimiter=",", ndmin=2)[:, 1]
+    assert np.allclose(osc2, want, rtol=1e-12, atol=0.0)
+    assert float(got["osc2"]) == pytest.approx(want.sum(), rel=1e-12)
 
 
 def test_adapt_two_stage_records_the_stage_settings(tmp_path):
