@@ -244,6 +244,29 @@ def test_approx_ladder_matches_golden():
     assert got == want
 
 
+def test_monitored_amfem_matches_golden():
+    """Every history column but wall_ms, and the three monitors, of one
+    monitored ``amfem`` run, to the last bit, against a recorded run.  A
+    row's monitors compare its mesh with the previous row's."""
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        "amfem_lshape_0.1.csv")
+    with open(path) as fh:
+        want = fh.read().splitlines()
+    mesh0, prob = benchmark("lshape_sing").make()
+    _, _, hist = amfem(mesh0, prob, AdaptParams(epsilon=0.1, theta=0.3),
+                       monitors=True)
+    names = ("upper_ratio", "n_gone", "n_patch")
+    got = [want[0]]
+    for i, r in enumerate(hist.records):
+        got.append(",".join(
+            ["%d" % r.k, r.stage, "%d" % r.nT, "%d" % r.nE,
+             repr(float(r.eta2)), repr(float(r.osc2)), repr(float(r.err)),
+             "%d" % r.n_marked, "%d" % r.n_bisected]
+            + [repr(hist.monitors[m][i - 1]) if i else "" for m in names]))
+    assert hist.status == "tol"
+    assert got == want
+
+
 def test_approx_p0_source_on_own_mesh_is_noop():
     m0 = unit_square_mesh()
     src = P0Source(m0, np.array([1.0, -1.0]))
