@@ -270,6 +270,31 @@ def _coarse_osc2(src, fine, coarse):
     return float((coarse.tri_h ** 2 * dev).sum())
 
 
+def _transfer_monitors(hist, prev, mesh, src, monitors):
+    """What compares the previous step ``prev`` = (mesh, flux, report,
+    marked) with ``mesh`` and needs no solution on ``mesh``: the lost-edge
+    bound and, with ``monitors``, n_gone, n_patch and the two inputs of
+    upper_ratio from the previous step, its flux prolongated onto ``mesh``
+    and the ratio's denominator (else None)."""
+    pmesh, psigma, preport, pmarked = prev
+    gone = _combinatorial_check(pmesh, mesh)
+    if not monitors:
+        return None
+    hist.monitors["n_gone"].append(len(gone))
+    patch = _patch_pos(pmesh)[pmarked.edges]
+    hist.monitors["n_patch"].append(len(np.unique(patch[patch >= 0])))
+    den = float(preport.eta2_edges[gone].sum()) + _coarse_osc2(src, mesh,
+                                                               pmesh)
+    return prolongate(psigma, mesh).values, den
+
+
+def _upper_ratio(sol, coarse, den):
+    """Localized discrete upper bound: |sigma - coarse|_M^2 over ``den``."""
+    d = sol.sigma.values - coarse
+    num = float(d @ (rt_mass_matrix(sol.space) @ d))
+    return num / den if den > 0 else float("nan")
+
+
 def _stop(hist, converged, k, mesh, max_iters, max_triangles):
     """Whether a loop ends at step k; sets the history's status if so."""
     if converged:
@@ -285,6 +310,11 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
 
     Stops when the total estimator drops below epsilon, or when the
     iteration/triangle caps are hit (status 'tol' vs 'capped').
+
+    The lost-edge check and every monitor that needs only the previous
+    step and the new mesh run before the new solve; then nothing of the
+    previous step is alive when the solve factors, which sets the memory
+    peak.  Only upper_ratio's numerator waits for the new flux.
     """
     params.validate()
     if problem.g is not None:
@@ -300,6 +330,10 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
     k = 0
     while True:
         t0 = time.perf_counter()
+        upper = None
+        if prev is not None:
+            upper = _transfer_monitors(hist, prev, mesh, src, monitors)
+            prev = None
         sol = solve_poisson(mesh, problem)
         report = estimate(sol, src)
         err = (error_sigma(sol, problem.sigma_exact)
@@ -308,21 +342,8 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
         osc2 = report.osc2_total
         if osc0 is None:
             osc0 = np.sqrt(osc2)
-
-        if monitors and prev is not None:
-            pmesh, psigma, preport, pmarked = prev
-            gone = _combinatorial_check(pmesh, mesh)
-            hist.monitors["n_gone"].append(len(gone))
-            patch = _patch_pos(pmesh)[pmarked.edges]
-            hist.monitors["n_patch"].append(len(np.unique(patch[patch >= 0])))
-            d = sol.sigma.values - prolongate(psigma, mesh).values
-            num = float(d @ (rt_mass_matrix(sol.space) @ d))
-            den = float(preport.eta2_edges[gone].sum()) + _coarse_osc2(
-                src, mesh, pmesh)
-            hist.monitors["upper_ratio"].append(
-                num / den if den > 0 else float("nan"))
-        elif prev is not None:
-            _combinatorial_check(prev[0], mesh)
+        if upper is not None:
+            hist.monitors["upper_ratio"].append(_upper_ratio(sol, *upper))
 
         done = _stop(hist, np.sqrt(eta2) < params.epsilon, k, mesh,
                      params.max_iters, params.max_triangles)
@@ -339,7 +360,8 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
         if done:
             return mesh, sol, hist
         prev = (mesh, sol.sigma, report, marked)
-        mesh = new_mesh
+        # from here on only prev holds the step, until the next solve
+        mesh, sol, report = new_mesh, None, None
         k += 1
 
 

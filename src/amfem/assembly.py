@@ -5,9 +5,10 @@ The discrete problem pairs the flux space with piecewise constants:
     (sigma, tau) - (div tau, u) = -<g, tau . n>   for all tau
     (div sigma, v)              = (f, v)          for all v
 
-``assemble`` returns its blocks unreduced: the mass matrix M, the
-divergence matrix B and the two right-hand sides.  ``solve`` does not
-factor the indefinite [[M, -B^T], [B, 0]].  It breaks the normal continuity
+``assemble`` returns the flux space and the two right-hand sides; the
+mass matrix M and the divergence matrix B of the unreduced system are the
+space's, built when first read.  ``solve`` does not factor the indefinite
+[[M, -B^T], [B, 0]].  It breaks the normal continuity
 of the flux, eliminates each triangle's three local fluxes and its value of
 u, and is left with one multiplier per interior edge.  For RT0-P0 the
 condensed matrix is the Crouzeix-Raviart stiffness matrix, which is
@@ -25,7 +26,10 @@ local vertex i, s = tri_sign, |T| = tri_area and f_T = rhs_u[T]:
 These closed forms are the inverse of the local block [[M_T, -1], [1, 0]],
 so (sigma, u) is the solution of the unreduced system to roundoff.  It is
 checked against the unreduced blocks after every solve: the residual of
-both block rows, and div sigma = (cell mean of f) elementwise.
+both block rows, and div sigma = (cell mean of f) elementwise.  M and B
+are first built for these checks, after the factorization, so that the
+factorization, which sets the memory peak of a run, holds only the mesh,
+Q_T, S and the right-hand sides.
 
 ``solve`` is ``condense`` (per mesh: the multiplier numbering and the LU
 factor of S) followed by ``recover`` (per right-hand side: lambda, sigma, u
@@ -81,13 +85,21 @@ class ProblemSpec:
 @dataclass
 class SaddleSystem:
     """The unreduced mixed system M sigma - B^T u = rhs_sigma,
-    B sigma = rhs_u; ``solve`` condenses it and checks its solution against
-    these blocks."""
+    B sigma = rhs_u on ``space``; ``solve`` condenses it and checks its
+    solution against these blocks.  M and B are the space's matrices,
+    built and cached on the space the first time they are read, which in
+    ``solve`` is after the factorization."""
     space: RTSpace
-    M: sp.csr_matrix
-    B: sp.csr_matrix
     rhs_sigma: np.ndarray
     rhs_u: np.ndarray
+
+    @property
+    def M(self):
+        return rt_mass_matrix(self.space)
+
+    @property
+    def B(self):
+        return div_matrix(self.space)
 
 
 @dataclass
@@ -116,8 +128,6 @@ class MixedSolution:
 
 def assemble(mesh: Mesh, problem: ProblemSpec):
     space = RTSpace(mesh)
-    M = rt_mass_matrix(space)
-    B = div_matrix(space)
     rhs_u = as_source(problem.f).cell_integrals(mesh)
     rhs_sigma = np.zeros(mesh.ne)
     if problem.g is not None:
@@ -134,7 +144,7 @@ def assemble(mesh: Mesh, problem: ProblemSpec):
             p = a + gi * (b - a)
             gint += wi * np.asarray(problem.g(p[:, 0], p[:, 1]), dtype=float)
         rhs_sigma[bnd] = -s * gint
-    return SaddleSystem(space, M, B, rhs_sigma, rhs_u)
+    return SaddleSystem(space, rhs_sigma, rhs_u)
 
 
 def _bisection_tree(mesh):
@@ -224,9 +234,11 @@ class Condensed:
     lu: object
 
 
-def condense(space: RTSpace) -> Condensed:
-    """Condense onto the interior-edge multipliers, number them by nested
-    dissection and factor S in that order."""
+def _multiplier_system(space: RTSpace):
+    """The multiplier number of each triangle's local edges, in
+    nested-dissection order, and S in that numbering.  The numbering's
+    tables and the COO triplets of S die with this call, so that only S is
+    alive when SuperLU factors it."""
     mesh = space.mesh
     Q = space.element_blocks()
     order = _elimination_order(mesh)
@@ -238,7 +250,13 @@ def condense(space: RTSpace) -> Condensed:
     keep = inner[:, :, None] & inner[:, None, :]
     rows = np.broadcast_to(L[:, :, None], Q.shape)[keep]
     cols = np.broadcast_to(L[:, None, :], Q.shape)[keep]
-    S = sp.coo_matrix((Q[keep], (rows, cols)), shape=(n, n)).tocsc()
+    return L, sp.coo_matrix((Q[keep], (rows, cols)), shape=(n, n)).tocsc()
+
+
+def condense(space: RTSpace) -> Condensed:
+    """Condense onto the interior-edge multipliers, number them by nested
+    dissection and factor S in that order."""
+    L, S = _multiplier_system(space)
     try:
         lu = spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0,
                        options={"SymmetricMode": True})

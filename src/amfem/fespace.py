@@ -36,18 +36,27 @@ __all__ = ["RTSpace", "DofVector", "interpolate_rt", "prolongate",
 
 
 class RTSpace:
+    """The flux space of one mesh, and the per-mesh data its operators
+    share, each computed the first time it is asked: the element
+    coordinates, the blocks Q_T, the mass matrix and the divergence
+    matrix."""
+
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
+        self._P = None
         self._Q = None
         self._mass = None
+        self._div = None
 
     def opp_coords(self):
         """(nl, 3, 2) coordinates of the vertex opposite each local edge."""
-        return self.mesh.points[self.mesh.tri_verts[self.mesh.live]]
+        if self._P is None:
+            self._P = self.mesh.points[self.mesh.tri_verts[self.mesh.live]]
+        return self._P
 
     def element_blocks(self):
         """(nl, 3, 3) Crouzeix-Raviart blocks Q_T[i, j] = e_i . e_j / |T|,
-        e_i = P_{i+2} - P_{i+1}; computed once, the first time it is asked."""
+        e_i = P_{i+2} - P_{i+1}."""
         if self._Q is None:
             P = self.opp_coords()
             e = P[:, [2, 0, 1]] - P[:, [1, 2, 0]]
@@ -191,11 +200,15 @@ def rt_mass_matrix(space: RTSpace):
 def div_matrix(space: RTSpace):
     """Sparse matrix B with (B sigma)_T = integral of div sigma over T;
     entries are +-1, three per row."""
+    if space._div is not None:
+        return space._div
     m = space.mesh
     rows = np.repeat(np.arange(m.nt), 3)
     cols = m.tri_edge.ravel()
     vals = m.tri_sign.ravel().astype(float)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(m.nt, m.ne)).tocsr()
+    space._div = sp.coo_matrix((vals, (rows, cols)),
+                               shape=(m.nt, m.ne)).tocsr()
+    return space._div
 
 
 def curl_matrix(mesh: Mesh):

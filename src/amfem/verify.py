@@ -234,7 +234,9 @@ def fit_rate(history: ConvergenceHistory, field="err", tail=4):
 
 def uniform_study(mesh0, problem, rounds):
     """Solve/estimate on a ladder of uniform refinements of mesh0.  A row's
-    wall_ms is its whole round: refine, solve, estimate and error."""
+    wall_ms is its whole round: refine, solve, estimate and error.  Each
+    round drops the previous round's mesh, solution and report before it
+    solves, so that its factorization holds only its own mesh."""
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     hist = ConvergenceHistory(status="tol")
@@ -244,6 +246,7 @@ def uniform_study(mesh0, problem, rounds):
     for k in range(rounds + 1):
         t0 = time.perf_counter()
         if k > 0:
+            sol = report = None
             mesh = uniform_refine(mesh, 1)
         sol = solve_poisson(mesh, problem)
         report = estimate(sol, src)
@@ -293,9 +296,10 @@ def helmholtz_split(space, fields):
     B = div_matrix(space)
     # the gradient part is the mixed solution with load div sigma and no
     # boundary data; its potential is phi = -u.  Every row's recovery runs
-    # the solver's residual and conservation checks.
+    # the solver's residual and conservation checks, against the space's
+    # cached M and B.
     cond = condense(space)
-    sols = [recover(cond, SaddleSystem(space, M, B, np.zeros(mesh.ne), B @ v))
+    sols = [recover(cond, SaddleSystem(space, np.zeros(mesh.ne), B @ v))
             for v in fields]
     grad = np.array([sol.sigma.values for sol in sols])
     phi = -np.array([sol.u.values for sol in sols])

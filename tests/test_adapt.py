@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import os
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -452,3 +454,45 @@ def test_amfem_builds_one_mass_matrix_per_mesh(monkeypatch):
     mesh0, prob = benchmark("lshape_sing").make()
     _, _, hist = amfem(mesh0, prob, AdaptParams(epsilon=0.3), monitors=True)
     assert built == list(hist.column("nT"))
+
+
+@pytest.mark.parametrize("driver", ["amfem", "uniform_study"])
+def test_only_the_factored_mesh_is_alive_at_each_factor(monkeypatch, driver):
+    """When SuperLU factors S, every mesh the run made before the one being
+    factored is gone, and nothing the checks after the factor read is built
+    yet: the space has no mass matrix, and no space holds a divergence
+    matrix.  The caller's initial mesh is the caller's to keep."""
+    from amfem import assembly, mesh, verify
+    mesh0, prob = benchmark("lshape_sing").make()
+    made, spaces, factored = [], [], []
+    init, condense, splu = mesh.Mesh.__init__, assembly.condense, \
+        assembly.spla.splu
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    def recording_condense(space):
+        spaces.append(weakref.ref(space))
+        return condense(space)
+
+    def checking_splu(*args, **kwargs):
+        space = spaces[-1]()
+        earlier = [m() for m in made]
+        assert [m for m in earlier if m is not None and m is not space.mesh] \
+            == []
+        assert space._mass is None
+        assert all(s() is None or s()._div is None for s in spaces)
+        factored.append(space.mesh.nt)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(mesh.Mesh, "__init__", recording_init)
+    monkeypatch.setattr(assembly, "condense", recording_condense)
+    monkeypatch.setattr(assembly, "spla",
+                        SimpleNamespace(splu=checking_splu))
+    if driver == "amfem":
+        _, _, hist = amfem(mesh0, prob, AdaptParams(epsilon=0.3),
+                           monitors=True)
+    else:
+        hist = verify.uniform_study(mesh0, prob, 3)
+    assert len(factored) == len(hist.records) > 2

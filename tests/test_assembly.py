@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from amfem.adapt import AdaptParams, amfem
 from amfem.assembly import (ProblemSpec, SolverError, assemble, error_sigma,
                             solve, solve_poisson)
 from amfem.fespace import RTSpace, div_matrix, interpolate_rt
 from amfem.mesh import uniform_refine
 from amfem.sources import FunctionSource, P0Source
-from amfem.verify import (lshape_mesh, smooth_f, smooth_sigma, smooth_u,
-                          unit_square_mesh)
+from amfem.verify import (benchmark, lshape_mesh, smooth_f, smooth_sigma,
+                          smooth_u, unit_square_mesh)
 
 
 def test_unit_load_rhs():
@@ -38,25 +39,38 @@ def test_solution_satisfies_blocks():
 
 
 def test_one_element_kernel_per_mesh(monkeypatch):
-    """A solve gathers the element coordinates once: the mass matrix,
-    the condensation and the recovery all read the space's Q_T."""
+    """A mesh's element coordinates are gathered once: the mass matrix,
+    the condensation and the recovery all read the space's Q_T, and the
+    affine form of the flux and the flux error read the same coordinates.
+    A monitored loop gathers once per solved mesh plus once per coarse mesh
+    whose flux it prolongates."""
     gathers = []
     opp_coords = RTSpace.opp_coords
 
     def counting(space):
-        gathers.append(space)
+        if space._P is None:
+            gathers.append(space)
         return opp_coords(space)
 
     monkeypatch.setattr(RTSpace, "opp_coords", counting)
     m = uniform_refine(lshape_mesh(), 2)
     sys_ = assemble(m, ProblemSpec(f=smooth_f))
-    solve(sys_)
+    sol = solve(sys_)
+    sol.affine()
+    error_sigma(sol, smooth_sigma)
     assert gathers == [sys_.space]
     Q = sys_.space.element_blocks()
     for t, row in enumerate(m.live):
         P = m.points[m.tri_verts[row]]
         e = np.array([P[(i + 2) % 3] - P[(i + 1) % 3] for i in range(3)])
         assert np.allclose(Q[t], e @ e.T / m.tri_area[t], rtol=1e-14)
+
+    gathers.clear()
+    mesh0, prob = benchmark("lshape_sing").make()
+    _, _, hist = amfem(mesh0, prob, AdaptParams(epsilon=0.3), monitors=True)
+    nT = hist.column("nT")
+    # step k prolongates from mesh k - 1, then solves on mesh k
+    assert [s.mesh.nt for s in gathers] == list(np.repeat(nT, 2)[:-1])
 
 
 def test_conservation_defect_matches_recomputation():
