@@ -271,11 +271,12 @@ def _coarse_osc2(src, fine, coarse):
 
 
 def _transfer_monitors(hist, prev, mesh, src, monitors):
-    """What compares the previous step ``prev`` = (mesh, flux, report,
-    marked) with ``mesh`` and needs no solution on ``mesh``: the lost-edge
-    bound and, with ``monitors``, n_gone, n_patch and the two inputs of
-    upper_ratio from the previous step, its flux prolongated onto ``mesh``
-    and the ratio's denominator (else None)."""
+    """The lost-edge check between the previous step ``prev`` = (mesh,
+    flux, report, marked) and ``mesh``, and with ``monitors`` every monitor
+    that needs no solution on ``mesh``: records n_gone and n_patch and
+    returns upper_ratio's inputs, the previous flux prolongated onto
+    ``mesh`` and the ratio's denominator.  Returns None without
+    ``monitors``."""
     pmesh, psigma, preport, pmarked = prev
     gone = _combinatorial_check(pmesh, mesh)
     if not monitors:
@@ -283,13 +284,14 @@ def _transfer_monitors(hist, prev, mesh, src, monitors):
     hist.monitors["n_gone"].append(len(gone))
     patch = _patch_pos(pmesh)[pmarked.edges]
     hist.monitors["n_patch"].append(len(np.unique(patch[patch >= 0])))
-    den = float(preport.eta2_edges[gone].sum()) + _coarse_osc2(src, mesh,
-                                                               pmesh)
+    den = (float(preport.eta2_edges[gone].sum())
+           + _coarse_osc2(src, mesh, pmesh))
     return prolongate(psigma, mesh).values, den
 
 
 def _upper_ratio(sol, coarse, den):
-    """Localized discrete upper bound: |sigma - coarse|_M^2 over ``den``."""
+    """The localized discrete upper bound's ratio |sigma - coarse|_M^2 /
+    den, with the new flux and the mass matrix of ``sol``."""
     d = sol.sigma.values - coarse
     num = float(d @ (rt_mass_matrix(sol.space) @ d))
     return num / den if den > 0 else float("nan")

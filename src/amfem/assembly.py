@@ -8,13 +8,13 @@ The discrete problem pairs the flux space with piecewise constants:
 ``assemble`` returns the flux space and the two right-hand sides; the
 mass matrix M and the divergence matrix B of the unreduced system are the
 space's, built when first read.  ``solve`` does not factor the indefinite
-[[M, -B^T], [B, 0]].  It breaks the normal continuity
-of the flux, eliminates each triangle's three local fluxes and its value of
-u, and is left with one multiplier per interior edge.  For RT0-P0 the
-condensed matrix is the Crouzeix-Raviart stiffness matrix, which is
-symmetric positive definite (Arnold & Brezzi, M2AN 19, 1985; Marini,
-SINUM 22, 1985).  With e_i = P_{i+2} - P_{i+1} the edge vector opposite
-local vertex i, s = tri_sign, |T| = tri_area and f_T = rhs_u[T]:
+[[M, -B^T], [B, 0]].  It breaks the normal continuity of the flux,
+eliminates each triangle's three local fluxes and its value of u, and is
+left with one multiplier per interior edge.  For RT0-P0 the condensed
+matrix is the Crouzeix-Raviart stiffness matrix, which is symmetric
+positive definite (Arnold & Brezzi, M2AN 19, 1985; Marini, SINUM 22,
+1985).  With e_i = P_{i+2} - P_{i+1} the edge vector opposite local
+vertex i, s = tri_sign, |T| = tri_area and f_T = rhs_u[T]:
 
     Q_T[i, j] = e_i . e_j / |T|                  (RTSpace.element_blocks)
     r_T,i     = s_T,i rhs_sigma[E]   on one triangle of each edge, else 0
@@ -27,9 +27,9 @@ These closed forms are the inverse of the local block [[M_T, -1], [1, 0]],
 so (sigma, u) is the solution of the unreduced system to roundoff.  It is
 checked against the unreduced blocks after every solve: the residual of
 both block rows, and div sigma = (cell mean of f) elementwise.  M and B
-are first built for these checks, after the factorization, so that the
-factorization, which sets the memory peak of a run, holds only the mesh,
-Q_T, S and the right-hand sides.
+are first built for these checks, after the factorization: the
+factorization sets the memory peak of a run, and it holds only the mesh,
+its element coordinates and Q_T, S and the right-hand sides.
 
 ``solve`` is ``condense`` (per mesh: the multiplier numbering and the LU
 factor of S) followed by ``recover`` (per right-hand side: lambda, sigma, u

@@ -478,9 +478,8 @@ def test_only_the_factored_mesh_is_alive_at_each_factor(monkeypatch, driver):
 
     def checking_splu(*args, **kwargs):
         space = spaces[-1]()
-        earlier = [m() for m in made]
-        assert [m for m in earlier if m is not None and m is not space.mesh] \
-            == []
+        alive = [m() for m in made]
+        assert all(m is None or m is space.mesh for m in alive)
         assert space._mass is None
         assert all(s() is None or s()._div is None for s in spaces)
         factored.append(space.mesh.nt)
