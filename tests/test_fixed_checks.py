@@ -1,0 +1,117 @@
+"""Fault injection: each fixed check of the solve and of refinement fires on
+a fault it is there to catch, at unit data scale.
+
+The solver faults go in through ``assembly.spla``, the module attribute
+whose ``splu`` ``condense`` calls: a stand-in ``splu`` returns the real
+factor with a ``solve`` that corrupts the multipliers, so the residual,
+conservation and finiteness checks of ``recover`` see a wrong solution of
+the condensed system."""
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from amfem import assembly
+from amfem.adapt import _combinatorial_check
+from amfem.assembly import SolverError, condense, solve_poisson
+from amfem.fespace import RTSpace
+from amfem.mesh import refine_edges, uniform_refine
+from amfem.verify import benchmark
+
+
+class _Corrupted:
+    """A factor whose ``solve`` adds ``perturb(x)`` to its solution x."""
+
+    def __init__(self, lu, perturb):
+        self._lu, self._perturb = lu, perturb
+        self.shape, self.nnz = lu.shape, lu.nnz
+
+    def solve(self, b):
+        x = self._lu.solve(b)
+        return x + self._perturb(x)
+
+
+def corrupt_multipliers(monkeypatch, perturb):
+    splu = assembly.spla.splu
+    monkeypatch.setattr(assembly, "spla", SimpleNamespace(
+        splu=lambda *args, **kwargs: _Corrupted(splu(*args, **kwargs),
+                                                perturb)))
+
+
+def relative_noise(rel, seed=0):
+    """A seeded perturbation of ``rel`` relative size, entry by entry."""
+    return lambda x: rel * x * np.random.default_rng(seed).standard_normal(
+        x.size)
+
+
+def lshape(rounds):
+    mesh0, problem = benchmark("lshape_sing").make()
+    return uniform_refine(mesh0, rounds), problem
+
+
+def test_failed_factorization_raises(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=singular))
+    with pytest.raises(SolverError, match="^sparse factorization failed: "
+                       "Factor is exactly singular$"):
+        solve_poisson(*lshape(1))
+
+
+def test_residual_check_fires_on_corrupted_multipliers(monkeypatch):
+    """On 6,144 triangles, multipliers off by 1e-11 relative miss the
+    residual target; at 1e-13 the solve passes."""
+    mesh, problem = lshape(5)
+    corrupt_multipliers(monkeypatch, relative_noise(1e-13))
+    sol = solve_poisson(mesh, problem)
+    assert max(sol.residual_sigma, sol.residual_u) < 1e-10
+    corrupt_multipliers(monkeypatch, relative_noise(1e-11))
+    with pytest.raises(SolverError, match="^solve residual too large"):
+        solve_poisson(mesh, problem)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_multipliers_raise(monkeypatch, bad):
+    corrupt_multipliers(monkeypatch, lambda x: np.where(
+        np.arange(x.size) == x.size // 2, bad, 0.0))
+    with pytest.raises(SolverError, match="^solver produced non-finite"):
+        solve_poisson(*lshape(2))
+
+
+def edge_at(mesh, midpoint):
+    mid = mesh.points[mesh.edge_verts].mean(axis=1)
+    return int(np.flatnonzero(np.all(mid == midpoint, axis=1))[0])
+
+
+@pytest.mark.parametrize("delta, outcome", [
+    (1.5e-11, None),
+    (3e-11, "^conservation defect .* exceeds 1.0e-10$"),
+    (6e-11, "^solve residual too large"),
+])
+def test_conservation_check_fires_on_its_own(monkeypatch, delta, outcome):
+    """One multiplier off by ``delta``: on the 24-triangle L-shape mesh the
+    interior edge at (0.75, 0.25) has a window in which the elementwise
+    conservation check fires while both residuals pass (about 5.1e-11 and
+    7.3e-11 at delta = 3e-11, with a defect of 1.3e-10); above it the
+    residual check fires first, below it the solve passes."""
+    mesh, problem = lshape(1)
+    edge = edge_at(mesh, [0.75, 0.25])
+    assert not mesh.edge_boundary[edge]
+    pos = condense(RTSpace(mesh)).L[mesh.tri_edge == edge][0]
+    corrupt_multipliers(monkeypatch, lambda x: np.where(
+        np.arange(x.size) == pos, delta, 0.0))
+    if outcome is None:
+        sol = solve_poisson(mesh, problem)
+        assert sol.conservation_defect < 1e-10
+    else:
+        with pytest.raises(SolverError, match=outcome):
+            solve_poisson(mesh, problem)
+
+
+def test_lost_edge_bound_fires_on_a_reversed_pair():
+    mesh0, _ = benchmark("lshape_sing").make()
+    coarse = uniform_refine(mesh0, 1)
+    fine = refine_edges(coarse, np.arange(0, coarse.ne, 3))[0]
+    assert len(_combinatorial_check(coarse, fine)) > 0
+    with pytest.raises(AssertionError, match="edges vanished but only -"):
+        _combinatorial_check(fine, coarse)

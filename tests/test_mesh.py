@@ -238,8 +238,18 @@ def test_load_rejects_hanging_vertex():
 
 def test_load_rejects_unused_vertex():
     text = "amfemmesh 1\n4 1\n0 0\n1 0\n0 1\n5 5\n0 1 2 -\n"
-    with pytest.raises(MeshFormatError):
+    with pytest.raises(MeshFormatError, match="not used by any live"):
         load_mesh(text)
+
+
+def test_mesh_from_arrays_rejects_unused_vertex():
+    """The scan runs on every mesh built from arrays, genealogy and all:
+    here the arrays of a refined mesh plus a point no triangle uses."""
+    fine = uniform_refine(ref_tri_mesh(), 1)
+    points = np.vstack([fine.points, [[5.0, 5.0]]])
+    with pytest.raises(MeshFormatError, match="not used by any live"):
+        Mesh(points, fine.tri_verts, fine.tri_refedge, fine.tri_gen,
+             fine.tri_parent, fine.alive)
 
 
 @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])

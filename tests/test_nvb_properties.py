@@ -230,3 +230,20 @@ def test_solve_conserves_a_random_p0_load(meshes, seed):
     defect = (np.abs(B @ sigma - rhs)
               / (1.0 + np.abs(rhs) + np.abs(B) @ np.abs(sigma)))
     assert defect.max() <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(meshes=nested_meshes(), reload=st.booleans(), data=st.data())
+def test_refinement_never_orphans_a_vertex(meshes, reload, data):
+    """Every vertex of a refined mesh belongs to a live triangle, with and
+    without a save/load round trip first, so the meshes refinement builds
+    can skip the constructor's scan for unused vertices."""
+    coarse, fine = meshes
+    if reload:
+        coarse = load_mesh(save_mesh(coarse))
+        fine = refine_edges(coarse, data.draw(marked_edges(coarse)))[0]
+    finer = refine_edges(fine, data.draw(marked_edges(fine)))[0]
+    for mesh in (fine, finer, uniform_refine(fine, 1)):
+        used = np.bincount(mesh.tri_verts[mesh.live].ravel(),
+                           minlength=mesh.nv)
+        assert used.min() > 0
