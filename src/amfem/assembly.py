@@ -42,15 +42,21 @@ genealogy (``_elimination_order``; the bisection tree as a space
 decomposition: Chen, Nochetto & Xu, Numer. Math. 120, 2012).  S is
 assembled in that order and factored by SuperLU with the natural column
 order, symmetric mode and diagonal pivots.
+
+Importing this module loads no scipy.sparse.  ``_multiplier_system``
+imports scipy.sparse when it builds S, and the module attribute ``spla``
+(scipy.sparse.linalg, whose ``splu`` ``condense`` calls) is imported on its
+first read and then kept as a module global.  ``condense`` reads it as a
+module attribute, so a caller that sets ``assembly.spla`` replaces the
+factorization that ``condense`` runs.
 """
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import quadrature
 from .fespace import (DofVector, RTSpace, div_matrix, prolongate, rt_affine,
@@ -66,6 +72,16 @@ CONSERVATION_TOL = 1e-10
 # what ``solve`` factors, as recorded in run.meta
 SOLVER = ("hybridized-crouzeix-raviart-interior-edges/"
           "bisection-tree-nested-dissection/superlu-symmetric-natural")
+
+
+def __getattr__(name):
+    """``spla``, imported on its first read and bound as a module global
+    (PEP 562), so that later reads and assignments act on that global."""
+    if name == "spla":
+        import scipy.sparse.linalg as spla
+        globals()["spla"] = spla
+        return spla
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 class SolverError(RuntimeError):
@@ -239,6 +255,7 @@ def _multiplier_system(space: RTSpace):
     nested-dissection order, and S in that numbering.  The numbering's
     tables and the COO triplets of S die with this call, so that only S is
     alive when SuperLU factors it."""
+    import scipy.sparse as sp
     mesh = space.mesh
     Q = space.element_blocks()
     order = _elimination_order(mesh)
@@ -258,8 +275,11 @@ def condense(space: RTSpace) -> Condensed:
     dissection and factor S in that order."""
     L, S = _multiplier_system(space)
     try:
-        lu = spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0,
-                       options={"SymmetricMode": True})
+        # through the module attribute: a bare global read would not reach
+        # the module's __getattr__ before the first one binds ``spla``
+        lu = sys.modules[__name__].spla.splu(
+            S, permc_spec="NATURAL", diag_pivot_thresh=0,
+            options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError("sparse factorization failed: %s" % exc) from exc
     return Condensed(L, lu)

@@ -18,14 +18,14 @@ The operators of the complex P1 -> RT0 -> P0 are sparse matrices, one
 implementation each: ``curl_matrix``, ``div_matrix`` and the flux mass
 ``rt_mass_matrix``, which reads the one element kernel
 ``RTSpace.element_blocks`` that the hybridized solve in ``assembly`` reads
-too.  The P0 projection of f is ``cell_means``.
+too.  Each imports scipy.sparse when it is called, so importing this module
+loads none of it.  The P0 projection of f is ``cell_means``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import quadrature
 from .mesh import Mesh, ancestor_map
@@ -182,6 +182,7 @@ def rt_mass_matrix(space: RTSpace):
     for G = A Q_T A^T, the Gram matrix of d over |T|."""
     if space._mass is not None:
         return space._mass
+    import scipy.sparse as sp
     m = space.mesh
     A = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]]) / 3.0
     G = np.einsum("ia,tab,jb->tij", A, space.element_blocks(), A,
@@ -202,6 +203,7 @@ def div_matrix(space: RTSpace):
     entries are +-1, three per row."""
     if space._div is not None:
         return space._div
+    import scipy.sparse as sp
     m = space.mesh
     rows = np.repeat(np.arange(m.nt), 3)
     cols = m.tri_edge.ravel()
@@ -215,6 +217,7 @@ def curl_matrix(mesh: Mesh):
     """Sparse (ne, nv) matrix C: C psi holds the fluxes of the rotated
     gradient (d/dy, -d/dx) of the P1 field psi.  The flux through edge
     (a, b) is the integral of the tangential derivative, psi(b) - psi(a)."""
+    import scipy.sparse as sp
     rows = np.repeat(np.arange(mesh.ne), 2)
     vals = np.tile([-1.0, 1.0], mesh.ne)
     return sp.coo_matrix((vals, (rows, mesh.edge_verts.ravel())),

@@ -15,11 +15,11 @@ from __future__ import annotations
 import csv
 import inspect
 import io
+import sys
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .adapt import (AdaptParams, ConvergenceHistory, MarkSet, amfem, approx,
                     dorfler_mark, osc_mark, _coarse_dev2, _coarse_osc2,
@@ -36,6 +36,17 @@ __all__ = ["Benchmark", "RateFit", "CheckResult", "fit_rate", "fit_points",
            "benchmark", "benchmark_names", "unit_square_mesh", "lshape_mesh",
            "uniform_study", "check_helmholtz", "check_identities",
            "run_suite", "suite_draws", "suite_csv", "SUITES"]
+
+
+def __getattr__(name):
+    """``spla`` (scipy.sparse.linalg, for ``helmholtz_split``'s P1 factor),
+    imported on its first read and bound as a module global, as in
+    ``assembly``."""
+    if name == "spla":
+        import scipy.sparse.linalg as spla
+        globals()["spla"] = spla
+        return spla
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 # -- meshes ----------------------------------------------------------------
@@ -305,7 +316,8 @@ def helmholtz_split(space, fields):
     phi = -np.array([sol.u.values for sol in sols])
     # psi = 0 at vertex 0 pins the kernel of the curl, the constants
     C = curl_matrix(mesh)[:, 1:]
-    psi = spla.splu((C.T @ M @ C).tocsc()).solve(C.T @ (M @ (fields - grad).T))
+    splu = sys.modules[__name__].spla.splu
+    psi = splu((C.T @ M @ C).tocsc()).solve(C.T @ (M @ (fields - grad).T))
     return np.pad(psi.T, ((0, 0), (1, 0))), phi, (C @ psi).T, grad
 
 

@@ -3,7 +3,9 @@
 package imports only exported names, every private top-level name is used
 somewhere in the package, and every attribute a class stores is read
 somewhere: stand-ins for a linter's unused-import, undefined-export,
-unused-definition and write-only-attribute rules."""
+unused-definition and write-only-attribute rules.  No module imports
+scipy.sparse when it is imported itself: the functions that build a sparse
+matrix or a factor import it."""
 import ast
 import pathlib
 
@@ -140,6 +142,62 @@ def write_only_state(sources, readers):
     return sorted("%s.%s" % item for text in sources
                   for item in stored_attributes(ast.parse(text))
                   if item[1] not in reads)
+
+
+def _import_time_nodes(node):
+    """The nodes below ``node`` that run when the module is imported: all
+    but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def _is_sparse(name):
+    return name == "scipy.sparse" or name.startswith("scipy.sparse.")
+
+
+def module_level_sparse_imports(source):
+    """``line:module`` for every import of scipy.sparse or a submodule of it
+    that runs when the module is imported.  A plain ``import scipy`` loads
+    no submodule and is allowed."""
+    out = []
+    for node in _import_time_nodes(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module] + ["%s.%s" % (node.module, a.name)
+                                     for a in node.names]
+        else:
+            continue
+        sparse = [name for name in names if _is_sparse(name)]
+        if sparse:
+            out.append("%d:%s" % (node.lineno, sparse[0]))
+    return out
+
+
+def test_scan_finds_module_level_sparse_imports():
+    source = ("import scipy\nimport scipy.sparse as sp\n"
+              "from scipy.sparse.linalg import splu\n"
+              "from scipy import sparse\nfrom scipy import linalg\n"
+              "import numpy, scipy.sparse.linalg\n"
+              "try:\n    import scipy.sparse\nexcept ImportError:\n    pass\n"
+              "class Box:\n    from scipy.sparse import csr_matrix\n"
+              "    def f(self):\n        import scipy.sparse as sp\n"
+              "        return sp\n"
+              "def g():\n    from scipy.sparse import linalg\n"
+              "    return linalg\n"
+              "h = lambda: __import__('scipy.sparse')\n")
+    assert module_level_sparse_imports(source) == [
+        "2:scipy.sparse", "3:scipy.sparse.linalg", "4:scipy.sparse",
+        "6:scipy.sparse.linalg", "8:scipy.sparse", "12:scipy.sparse"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_level_scipy_sparse_import(path):
+    assert module_level_sparse_imports(path.read_text()) == []
 
 
 def test_scan_finds_unused_imports():
