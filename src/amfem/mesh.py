@@ -84,6 +84,11 @@ class Mesh:
     tri_edge    (nl, 3) edge id opposite each local vertex, live order
     tri_sign    (nl, 3) +1 where the triangle is left of the edge tangent
     tri_area, tri_h   (nl,) areas and diameters, live order
+
+    Every mesh is checked for finite coordinates, positive areas,
+    conformity, the Euler relation and its area.  The scan for vertices no
+    live triangle uses runs on meshes built from arrays (and so on every
+    loaded mesh); a refined mesh cannot gain one.
     """
 
     def __init__(self, points, tri_verts, tri_refedge, tri_gen, tri_parent,
@@ -211,8 +216,13 @@ class Mesh:
                                      row_len.max(axis=0)])
 
         nv = len(self.points)
-        if np.bincount(np.take(self.tri_verts, live, axis=0).ravel(),
-                       minlength=nv).min() == 0:
+        # bisection keeps every vertex of a bisected triangle and adds only
+        # midpoints its children use, so a refined mesh has no unused
+        # vertex when its input mesh has none: only meshes built from
+        # arrays are scanned
+        if parent is _NO_PARENT and np.bincount(
+                np.take(self.tri_verts, live, axis=0).ravel(),
+                minlength=nv).min() == 0:
             raise MeshFormatError("mesh has vertices not used by any live triangle")
         if ne != nv + live.size - 1:
             raise MeshFormatError(
