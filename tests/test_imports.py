@@ -154,10 +154,6 @@ def _import_time_nodes(node):
             yield from _import_time_nodes(child)
 
 
-def _is_sparse(name):
-    return name == "scipy.sparse" or name.startswith("scipy.sparse.")
-
-
 def module_level_sparse_imports(source):
     """``line:module`` for every import of scipy.sparse or a submodule of it
     that runs when the module is imported.  A plain ``import scipy`` loads
@@ -171,7 +167,8 @@ def module_level_sparse_imports(source):
                                      for a in node.names]
         else:
             continue
-        sparse = [name for name in names if _is_sparse(name)]
+        sparse = [name for name in names if name == "scipy.sparse"
+                  or name.startswith("scipy.sparse.")]
         if sparse:
             out.append("%d:%s" % (node.lineno, sparse[0]))
     return out
