@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,33 @@ def test_smooth_error_decreases_under_refinement():
         m = uniform_refine(m)
         errs.append(error_sigma(solve_poisson(m, prob), smooth_sigma))
     assert all(b < 0.6 * a for a, b in zip(errs, errs[1:]))
+
+
+GOLDEN_SOLVE = os.path.join(os.path.dirname(__file__), "golden",
+                            "solve_lshape_u2.csv")
+
+
+def golden_solve_rows():
+    """Every flux and u coefficient, as ``repr(float)``, of two solves on
+    two uniform rounds of the L-shape: the ``lshape_sing`` load and a
+    seeded piecewise constant one."""
+    mesh = uniform_refine(lshape_mesh(), 2)
+    rng = np.random.default_rng(11)
+    loads = (("lshape_sing", benchmark("lshape_sing").make()[1].f),
+             ("p0_seed11", P0Source(mesh, rng.standard_normal(mesh.nt))))
+    rows = ["load,field,i,value"]
+    for name, f in loads:
+        sol = solve_poisson(mesh, ProblemSpec(f=f))
+        for field, dof in (("sigma", sol.sigma), ("u", sol.u)):
+            rows.extend("%s,%s,%d,%r" % (name, field, i, float(v))
+                        for i, v in enumerate(dof.values))
+    return rows
+
+
+def test_solve_matches_golden_to_the_last_bit():
+    with open(GOLDEN_SOLVE) as fh:
+        want = fh.read().splitlines()
+    assert golden_solve_rows() == want
 
 
 def test_solve_rejects_a_non_finite_load():
