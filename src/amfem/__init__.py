@@ -13,8 +13,8 @@ from .mesh import (Mesh, MeshFormatError, NotNestedError, load_mesh,
 from .sources import FunctionSource, P0Source, as_source
 from .fespace import (RTSpace, DofVector, interpolate_rt, prolongate,
                       curl_matrix)
-from .assembly import (ProblemSpec, SaddleSystem, MixedSolution, SolverError,
-                       assemble, solve, solve_poisson, error_sigma)
+from .assembly import (ProblemSpec, MixedSolution, SolverError, assemble,
+                       solve, solve_poisson, error_sigma)
 from .estimator import EstimatorReport, oscillation, estimate
 from .adapt import (AdaptParams, MarkSet, ConvergenceHistory, dorfler_mark,
                     osc_mark, amfem, approx, two_stage)

@@ -319,9 +319,6 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
     peak.  Only upper_ratio's numerator waits for the new flux.
     """
     params.validate()
-    if problem.g is not None:
-        raise ValueError("the adaptive loop requires homogeneous boundary "
-                         "values; solve with g directly instead")
     src = as_source(problem.f)
     problem = replace(problem, f=src)   # one load evaluation per mesh
     hist = ConvergenceHistory()

@@ -1,13 +1,14 @@
 """Mixed assembly and its solution by hybridization.
 
-The discrete problem pairs the flux space with piecewise constants:
+The discrete problem pairs the flux space with piecewise constants and has
+homogeneous Dirichlet data, so its one load is the cell integrals of f:
 
-    (sigma, tau) - (div tau, u) = -<g, tau . n>   for all tau
-    (div sigma, v)              = (f, v)          for all v
+    (sigma, tau) - (div tau, u) = 0        for all tau
+    (div sigma, v)              = (f, v)   for all v
 
-``assemble`` returns the flux space and the two right-hand sides; the
-mass matrix M and the divergence matrix B of the unreduced system are the
-space's, built when first read.  ``solve`` does not factor the indefinite
+``assemble`` returns the flux space and that load, rhs_u; the mass matrix
+M and the divergence matrix B of the unreduced system are the space's,
+built when first read.  ``solve`` does not factor the indefinite
 [[M, -B^T], [B, 0]].  It breaks the normal continuity of the flux,
 eliminates each triangle's three local fluxes and its value of u, and is
 left with one multiplier per interior edge.  For RT0-P0 the condensed
@@ -17,11 +18,10 @@ positive definite (Arnold & Brezzi, M2AN 19, 1985; Marini, SINUM 22,
 vertex i, s = tri_sign, |T| = tri_area and f_T = rhs_u[T]:
 
     Q_T[i, j] = e_i . e_j / |T|                  (RTSpace.element_blocks)
-    r_T,i     = s_T,i rhs_sigma[E]   on one triangle of each edge, else 0
-    S lambda  = sum_T (Q_T r_T + f_T / 3)        (interior edges only)
+    S lambda  = sum_T f_T / 3                    (interior edges only)
     c_T,i     = lambda_E on interior edges, 0 on boundary edges
-    sigma_T   = Q_T (r_T - c_T) + f_T / 3,       sigma_E = s_T,i sigma_T,i
-    u_T       = f_T sum_i |e_i|^2 / (144 |T|) - mean_i (r_T - c_T)_i
+    sigma_T   = f_T / 3 - Q_T c_T,               sigma_E = s_T,i sigma_T,i
+    u_T       = f_T sum_i |e_i|^2 / (144 |T|) + mean_i c_T,i
 
 These closed forms are the inverse of the local block [[M_T, -1], [1, 0]],
 so (sigma, u) is the solution of the unreduced system to roundoff.  It is
@@ -29,13 +29,13 @@ checked against the unreduced blocks after every solve: the residual of
 both block rows, and div sigma = (cell mean of f) elementwise.  M and B
 are first built for these checks, after the factorization: the
 factorization sets the memory peak of a run, and it holds only the mesh,
-its element coordinates and Q_T, S and the right-hand sides.
+its element coordinates and Q_T, S and the load.
 
 ``solve`` is ``condense`` (per mesh: the multiplier numbering and the LU
-factor of S) followed by ``recover`` (per right-hand side: lambda, sigma, u
-and the checks), so several loads on one mesh share one factor.  Both read
-Q_T from the space, which computes it once per mesh and derives the flux
-mass M from it too.
+factor of S) followed by ``recover`` (per load: lambda, sigma, u and the
+checks), so several loads on one mesh share one factor.  Both read Q_T
+from the space, which computes it once per mesh and derives the flux mass
+M from it too.
 
 The multipliers are numbered by nested dissection read off the bisection
 genealogy (``_elimination_order``; the bisection tree as a space
@@ -53,7 +53,6 @@ factorization that ``condense`` runs.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +63,7 @@ from .fespace import (DofVector, RTSpace, div_matrix, prolongate, rt_affine,
 from .mesh import Mesh
 from .sources import as_source
 
-__all__ = ["ProblemSpec", "SaddleSystem", "MixedSolution", "SolverError",
+__all__ = ["ProblemSpec", "MixedSolution", "SolverError",
            "SOLVER", "Condensed", "assemble", "condense", "recover", "solve",
            "solve_poisson", "error_sigma"]
 
@@ -90,32 +89,11 @@ class SolverError(RuntimeError):
 
 @dataclass
 class ProblemSpec:
-    """Poisson problem data: source f (callable or a Source object),
-    Dirichlet boundary values g (None means homogeneous), and an optional
-    exact flux for error reporting."""
+    """Poisson problem data with homogeneous Dirichlet boundary values:
+    source f (callable or a Source object) and an optional exact flux for
+    error reporting."""
     f: object
-    g: object = None
     sigma_exact: object = None
-
-
-@dataclass
-class SaddleSystem:
-    """The unreduced mixed system M sigma - B^T u = rhs_sigma,
-    B sigma = rhs_u on ``space``; ``solve`` condenses it and checks its
-    solution against these blocks.  M and B are the space's matrices,
-    built and cached on the space the first time they are read, which in
-    ``solve`` is after the factorization."""
-    space: RTSpace
-    rhs_sigma: np.ndarray
-    rhs_u: np.ndarray
-
-    @property
-    def M(self):
-        return rt_mass_matrix(self.space)
-
-    @property
-    def B(self):
-        return div_matrix(self.space)
 
 
 @dataclass
@@ -128,7 +106,6 @@ class MixedSolution:
     conservation_defect: float
     n_multipliers: int      # size of the factored system S
     factor_nnz: int         # nonzeros SuperLU stores for L and U
-    wall_ms: float = 0.0
     _affine: tuple = field(default=None, repr=False)
 
     @property
@@ -143,24 +120,9 @@ class MixedSolution:
 
 
 def assemble(mesh: Mesh, problem: ProblemSpec):
-    space = RTSpace(mesh)
-    rhs_u = as_source(problem.f).cell_integrals(mesh)
-    rhs_sigma = np.zeros(mesh.ne)
-    if problem.g is not None:
-        # the basis attached to a boundary edge is the only one with nonzero
-        # trace there; its normal component is s/|E| with s relating the
-        # global edge normal to the outward one
-        bnd = np.flatnonzero(mesh.edge_boundary)
-        a = mesh.points[mesh.edge_verts[bnd, 0]]
-        b = mesh.points[mesh.edge_verts[bnd, 1]]
-        s = np.where(mesh.edge_tri[bnd, 0] >= 0, 1.0, -1.0)
-        g, w = quadrature.edge_rule()
-        gint = np.zeros(len(bnd))
-        for gi, wi in zip(g, w):
-            p = a + gi * (b - a)
-            gint += wi * np.asarray(problem.g(p[:, 0], p[:, 1]), dtype=float)
-        rhs_sigma[bnd] = -s * gint
-    return SaddleSystem(space, rhs_sigma, rhs_u)
+    """The flux space on ``mesh`` and the load rhs_u, the cell integrals
+    of f."""
+    return RTSpace(mesh), as_source(problem.f).cell_integrals(mesh)
 
 
 def _bisection_tree(mesh):
@@ -285,62 +247,71 @@ def condense(space: RTSpace) -> Condensed:
     return Condensed(L, lu)
 
 
-def recover(cond: Condensed, system: SaddleSystem) -> MixedSolution:
-    """The per-load half of ``solve`` for a system on the mesh ``cond`` was
-    condensed on: the multipliers of this right-hand side, (sigma, u)
-    elementwise, and the residual and conservation checks against the
-    unreduced blocks."""
-    mesh = system.space.mesh
+def _backward_error(r, scale):
+    """The componentwise backward error ||r|| / ||scale|| of a block row;
+    a zero scale leaves a zero residual (zero load, zero solution)."""
+    den = np.linalg.norm(scale)
+    return np.linalg.norm(r) / den if den > 0 else 0.0
+
+
+def recover(cond: Condensed, space: RTSpace, rhs_u) -> MixedSolution:
+    """The per-load half of ``solve`` on the mesh ``cond`` was condensed
+    on: the multipliers of the load ``rhs_u``, (sigma, u) elementwise, and
+    the residual and conservation checks against the unreduced blocks."""
+    mesh = space.mesh
     E, s, L = mesh.tri_edge, mesh.tri_sign, cond.L
-    Q = system.space.element_blocks()
-    f3 = system.rhs_u[:, None] / 3.0
-    # rhs_sigma goes to one triangle per edge: the left one of an interior
-    # edge, the only one of a boundary edge
-    own = (s > 0) | mesh.edge_boundary[E]
-    r = np.where(own, s * system.rhs_sigma[E], 0.0)
-    b = np.einsum("tij,tj->ti", Q, r) + f3
+    Q = space.element_blocks()
+    f3 = np.broadcast_to(rhs_u[:, None] / 3.0, L.shape)
     inner = L >= 0
     n = cond.lu.shape[0]
-    lam = cond.lu.solve(np.bincount(L[inner], weights=b[inner], minlength=n))
-    # local recovery; each edge takes its flux from its owning triangle
-    d = r - np.append(lam, 0.0)[L]          # index -1 reads the appended 0
-    sig_T = np.einsum("tij,tj->ti", Q, d) + f3
+    lam = cond.lu.solve(np.bincount(L[inner], weights=f3[inner], minlength=n))
+    # local recovery; each edge takes its flux from one triangle: the left
+    # one of an interior edge, the only one of a boundary edge
+    c = np.append(lam, 0.0)[L]              # index -1 reads the appended 0
+    sig_T = f3 - np.einsum("tij,tj->ti", Q, c)
+    own = (s > 0) | mesh.edge_boundary[E]
     sig = np.empty(mesh.ne)
     sig[E[own]] = (s * sig_T)[own]
-    u = (system.rhs_u * np.trace(Q, axis1=1, axis2=2) / 144.0
-         - d.mean(axis=1))
+    u = rhs_u * np.trace(Q, axis1=1, axis2=2) / 144.0 + c.mean(axis=1)
     if not (np.all(np.isfinite(sig)) and np.all(np.isfinite(u))):
         raise SolverError("solver produced non-finite values")
-    r1 = system.M @ sig - system.B.T @ u - system.rhs_sigma
-    r2 = system.B @ sig - system.rhs_u
-    res_sigma = np.linalg.norm(r1) / (1.0 + np.linalg.norm(system.rhs_sigma))
-    res_u = np.linalg.norm(r2) / (1.0 + np.linalg.norm(system.rhs_u))
-    if max(res_sigma, res_u) > 1e-10:
-        raise SolverError("solve residual too large: %.3e / %.3e"
-                          % (res_sigma, res_u))
+    M, B = rt_mass_matrix(space), div_matrix(space)
+    absB = abs(B)
+    flux_scale = absB @ np.abs(sig)
+    r1 = M @ sig - B.T @ u
+    r2 = B @ sig - rhs_u
+    # the first block row has no load, so its residual is relative to 1
+    res_sigma = np.linalg.norm(r1)
+    res_u = np.linalg.norm(r2) / (1.0 + np.linalg.norm(rhs_u))
+    # the same rows relative to the magnitudes summed in them (Oettli &
+    # Prager, Numer. Math. 6, 1964), which, unlike the residuals above,
+    # do not pass a wrong flux below unit data
+    back_sigma = _backward_error(r1, abs(M) @ np.abs(sig)
+                                 + absB.T @ np.abs(u))
+    back_u = _backward_error(r2, flux_scale + np.abs(rhs_u))
+    if max(res_sigma, res_u, back_sigma, back_u) > 1e-10:
+        raise SolverError("solve residual too large: %.3e / %.3e (backward "
+                          "error %.3e / %.3e)" % (res_sigma, res_u,
+                                                  back_sigma, back_u))
     # Conservation: div sigma_h equals the projected load elementwise, which
     # in dof terms reads B sigma = rhs_u row by row.  The defect is measured
     # against the row magnitudes (the fluxes actually summed), since dividing
     # by tiny element areas would only amplify representation roundoff.
-    flux_scale = np.abs(system.B) @ np.abs(sig)
-    defect = np.max(np.abs(r2) / (1.0 + np.abs(system.rhs_u) + flux_scale))
+    defect = np.max(np.abs(r2) / (1.0 + np.abs(rhs_u) + flux_scale))
     if defect > CONSERVATION_TOL:
         raise SolverError("conservation defect %.3e exceeds %.1e"
                           % (defect, CONSERVATION_TOL))
     return MixedSolution(DofVector("RT", sig, mesh), DofVector("P0", u, mesh),
-                         system.space, float(res_sigma), float(res_u),
-                         float(defect), n, cond.lu.nnz)
+                         space, float(res_sigma), float(res_u), float(defect),
+                         n, cond.lu.nnz)
 
 
-def solve(system: SaddleSystem) -> MixedSolution:
-    t0 = time.perf_counter()
-    sol = recover(condense(system.space), system)
-    sol.wall_ms = (time.perf_counter() - t0) * 1e3
-    return sol
+def solve(space: RTSpace, rhs_u) -> MixedSolution:
+    return recover(condense(space), space, rhs_u)
 
 
 def solve_poisson(mesh: Mesh, problem: ProblemSpec) -> MixedSolution:
-    return solve(assemble(mesh, problem))
+    return solve(*assemble(mesh, problem))
 
 
 def _quad_norm2_diff(space, a0, c, tau):

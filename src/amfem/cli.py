@@ -126,7 +126,7 @@ def _build_parser():
 
     p = command("solve", "assemble and solve on one mesh")
     p.add_argument("--benchmark", default=None, choices=benchmark_names())
-    p.add_argument("--mesh", default=None, help="mesh file (f=1, g=0)")
+    p.add_argument("--mesh", default=None, help="mesh file (f=1)")
     p.add_argument("--refine-uniform", type=int, default=0)
 
     p = command("adapt", "run the adaptive loop")
@@ -286,8 +286,16 @@ def _cmd_solve(args):
     return 0
 
 
+def _load_solver():
+    """Import the factorization's scipy.sparse.linalg ahead of the driver,
+    so that the first history row does not time the import; run.meta's
+    wall_ms still does."""
+    import scipy.sparse.linalg  # noqa: F401
+
+
 def _cmd_adapt(args):
     t0 = time.perf_counter()
+    _load_solver()
     mesh0, problem = _make(args)
     params = _params(args, args.epsilon)
     stages = {}
@@ -367,6 +375,7 @@ def _cmd_study(args):
     if args.levels < 1:
         raise ConfigError("levels must be at least 1")
     t0 = time.perf_counter()
+    _load_solver()
     mesh0, problem = _make(args)
     levels = args.levels
     lines = ["level,nT,nE,eta2,osc2,err"]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import inspect
 import io
-import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -24,8 +23,9 @@ import numpy as np
 from .adapt import (AdaptParams, ConvergenceHistory, MarkSet, amfem, approx,
                     dorfler_mark, osc_mark, _coarse_dev2, _coarse_osc2,
                     _patch_pos)
-from .assembly import (ProblemSpec, SaddleSystem, _quad_norm2_diff,
-                       condense, error_sigma, recover, solve_poisson)
+from . import assembly
+from .assembly import (ProblemSpec, _quad_norm2_diff, condense, error_sigma,
+                       recover, solve_poisson)
 from .estimator import EstimatorReport, estimate, indicator_edges
 from .fespace import (DofVector, RTSpace, curl_matrix, div_matrix,
                       interpolate_rt, prolongate, rt_mass_matrix)
@@ -36,17 +36,6 @@ __all__ = ["Benchmark", "RateFit", "CheckResult", "fit_rate", "fit_points",
            "benchmark", "benchmark_names", "unit_square_mesh", "lshape_mesh",
            "uniform_study", "check_helmholtz", "check_identities",
            "run_suite", "suite_draws", "suite_csv", "SUITES"]
-
-
-def __getattr__(name):
-    """``spla`` (scipy.sparse.linalg, for ``helmholtz_split``'s P1 factor),
-    imported on its first read and bound as a module global, as in
-    ``assembly``."""
-    if name == "spla":
-        import scipy.sparse.linalg as spla
-        globals()["spla"] = spla
-        return spla
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 # -- meshes ----------------------------------------------------------------
@@ -305,19 +294,17 @@ def helmholtz_split(space, fields):
     mesh = space.mesh
     M = rt_mass_matrix(space)
     B = div_matrix(space)
-    # the gradient part is the mixed solution with load div sigma and no
-    # boundary data; its potential is phi = -u.  Every row's recovery runs
-    # the solver's residual and conservation checks, against the space's
-    # cached M and B.
+    # the gradient part is the mixed solution with load div sigma; its
+    # potential is phi = -u.  Every row's recovery runs the solver's
+    # residual and conservation checks, against the space's cached M and B.
     cond = condense(space)
-    sols = [recover(cond, SaddleSystem(space, np.zeros(mesh.ne), B @ v))
-            for v in fields]
+    sols = [recover(cond, space, B @ v) for v in fields]
     grad = np.array([sol.sigma.values for sol in sols])
     phi = -np.array([sol.u.values for sol in sols])
     # psi = 0 at vertex 0 pins the kernel of the curl, the constants
     C = curl_matrix(mesh)[:, 1:]
-    splu = sys.modules[__name__].spla.splu
-    psi = splu((C.T @ M @ C).tocsc()).solve(C.T @ (M @ (fields - grad).T))
+    psi = assembly.spla.splu((C.T @ M @ C).tocsc()).solve(
+        C.T @ (M @ (fields - grad).T))
     return np.pad(psi.T, ((0, 0), (1, 0))), phi, (C @ psi).T, grad
 
 

@@ -5,11 +5,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from amfem.fespace import div_matrix, rt_mass_matrix
 
-def solve(system):
-    """(sigma, u) coefficient arrays of the unreduced saddle system."""
-    ne = system.space.mesh.ne
-    K = sp.bmat([[system.M, -system.B.T], [system.B, None]], format="csc")
-    rhs = np.concatenate([system.rhs_sigma, system.rhs_u])
-    x = spla.splu(K).solve(rhs)
+
+def solve(space, rhs_u):
+    """(sigma, u) coefficient arrays of the unreduced saddle system with
+    the load ``rhs_u``."""
+    ne = space.mesh.ne
+    M, B = rt_mass_matrix(space), div_matrix(space)
+    K = sp.bmat([[M, -B.T], [B, None]], format="csc")
+    x = spla.splu(K).solve(np.concatenate([np.zeros(ne), rhs_u]))
     return x[:ne], x[ne:]

@@ -187,13 +187,6 @@ def test_amfem_iteration_cap():
     assert len(hist.records) == 4
 
 
-def test_amfem_rejects_boundary_data():
-    m = unit_square_mesh()
-    prob = ProblemSpec(f=smooth_f, g=lambda x, y: x)
-    with pytest.raises(ValueError):
-        amfem(m, prob, AdaptParams())
-
-
 def test_amfem_combinatorial_monitor():
     mesh0, prob = benchmark("lshape_sing").make()
     pars = AdaptParams(epsilon=0.3, theta=0.3)

@@ -23,6 +23,11 @@ def run_cli(*args, env_extra=None, cwd=None):
                           capture_output=True, text=True, env=env, cwd=cwd)
 
 
+def golden_summary():
+    with open(GOLDEN) as fh:
+        return parse_summary(fh.read().strip())
+
+
 def parse_summary(line):
     out = {}
     for tok in line.split():
@@ -37,7 +42,7 @@ def test_solve_matches_golden(tmp_path):
                   "--refine-uniform", "3", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     got = parse_summary(res.stdout.strip())
-    want = parse_summary(open(GOLDEN).read().strip())
+    want = golden_summary()
     assert got["nT"] == want["nT"] and got["nE"] == want["nE"]
     for key in ("eta2", "osc2", "err"):
         assert float(got[key]) == pytest.approx(float(want[key]), abs=1e-10)
@@ -286,7 +291,7 @@ def test_quad_degree_rounds_up_to_an_available_rule(tmp_path):
     # degree 3 runs the degree-4 rule, which is the default
     res, got = solve_smooth_u3(tmp_path, "--quad-degree", "3")
     assert res.returncode == 0, res.stderr
-    want = parse_summary(open(GOLDEN).read().strip())
+    want = golden_summary()
     for key in ("eta2", "osc2", "err"):
         assert float(got[key]) == pytest.approx(float(want[key]), abs=1e-10)
     meta = (tmp_path / "run.meta").read_text().splitlines()

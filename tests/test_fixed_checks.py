@@ -1,5 +1,6 @@
 """Fault injection: each fixed check of the solve and of refinement fires on
-a fault it is there to catch, at unit data scale.
+a fault it is there to catch, at unit data scale and, for the solve, with
+the load scaled by 1e-12.
 
 The solver faults go in through ``assembly.spla``, the module attribute
 whose ``splu`` ``condense`` calls: a stand-in ``splu`` returns the real
@@ -13,7 +14,7 @@ import pytest
 
 from amfem import assembly
 from amfem.adapt import _combinatorial_check
-from amfem.assembly import SolverError, condense, solve_poisson
+from amfem.assembly import ProblemSpec, SolverError, condense, solve_poisson
 from amfem.fespace import RTSpace
 from amfem.mesh import refine_edges, uniform_refine
 from amfem.verify import benchmark
@@ -66,6 +67,29 @@ def test_residual_check_fires_on_corrupted_multipliers(monkeypatch):
     sol = solve_poisson(mesh, problem)
     assert max(sol.residual_sigma, sol.residual_u) < 1e-10
     corrupt_multipliers(monkeypatch, relative_noise(1e-11))
+    with pytest.raises(SolverError, match="^solve residual too large"):
+        solve_poisson(mesh, problem)
+
+
+def smooth_scaled(scale):
+    """Five uniform rounds of the unit square and its smooth load times
+    ``scale``."""
+    mesh0, problem = benchmark("smooth_square").make()
+    return uniform_refine(mesh0, 5), ProblemSpec(
+        f=lambda x, y: scale * problem.f(x, y))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_residual_check_fires_at_every_data_scale(monkeypatch, scale):
+    """Multipliers off by 1e-3 relative are caught whatever the size of the
+    load.  With the load scaled by 1e-12 the residuals, relative to 1 and
+    to 1 + ||rhs_u||, read 4.9e-14 / 1.5e-13 and pass; the backward errors,
+    relative to |M||sigma| + |B^T||u| and |B||sigma| + |rhs_u|, read
+    8.6e-4 / 2.1e-2 at both scales and fire."""
+    mesh, problem = smooth_scaled(scale)
+    sol = solve_poisson(mesh, problem)
+    assert max(sol.residual_sigma, sol.residual_u) < 1e-10
+    corrupt_multipliers(monkeypatch, relative_noise(1e-3))
     with pytest.raises(SolverError, match="^solve residual too large"):
         solve_poisson(mesh, problem)
 

@@ -1,9 +1,9 @@
 """The hybridized solve against the saddle-point LU in ``saddle_reference``:
 the same flux and multiplier to 1e-10 relative on the benchmark meshes,
 their uniform and random local refinements, a deep adaptive mesh and a
-reloaded mesh without genealogy, with boundary data, piecewise constant
-loads and arbitrary flux right-hand sides; and the closed-form element
-block against the inverse of the local saddle block."""
+reloaded mesh without genealogy, with the benchmark loads and random
+piecewise constant ones; and the closed-form element block against the
+inverse of the local saddle block."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,10 +21,6 @@ BENCHMARKS = ("smooth_square", "lshape_sing", "checker_const")
 TOL = 1e-10
 
 
-def g_data(x, y):
-    return np.sin(3.0 * x) + y * y
-
-
 def problem_and_meshes(name):
     """The benchmark problem with its mesh, two uniform rounds of it, and a
     random local refinement of the first round."""
@@ -39,9 +35,9 @@ def problem_and_meshes(name):
     return problem, out
 
 
-def assert_matches_reference(system):
-    sol = solve(system)
-    sigma, u = ref.solve(system)
+def assert_matches_reference(space, rhs_u):
+    sol = solve(space, rhs_u)
+    sigma, u = ref.solve(space, rhs_u)
     assert (np.linalg.norm(sol.sigma.values - sigma)
             <= TOL * np.linalg.norm(sigma))
     assert np.linalg.norm(sol.u.values - u) <= TOL * np.linalg.norm(u)
@@ -51,27 +47,15 @@ def assert_matches_reference(system):
 def test_benchmark_problem_matches_reference(name):
     problem, meshes = problem_and_meshes(name)
     for mesh in meshes:
-        assert_matches_reference(assemble(mesh, problem))
+        assert_matches_reference(*assemble(mesh, problem))
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)
-def test_boundary_data_matches_reference(name):
-    problem, meshes = problem_and_meshes(name)
-    problem = ProblemSpec(f=problem.f, g=g_data)
-    for mesh in meshes:
-        system = assemble(mesh, problem)
-        assert np.any(system.rhs_sigma != 0.0)
-        assert_matches_reference(system)
-
-
-@pytest.mark.parametrize("name", BENCHMARKS)
-def test_p0_load_and_random_flux_rhs_match_reference(name):
+def test_p0_load_matches_reference(name):
     rng = np.random.default_rng(3)
     for mesh in problem_and_meshes(name)[1]:
-        system = assemble(mesh, ProblemSpec(
-            f=P0Source(mesh, rng.standard_normal(mesh.nt))))
-        system.rhs_sigma = rng.standard_normal(mesh.ne)
-        assert_matches_reference(system)
+        assert_matches_reference(*assemble(mesh, ProblemSpec(
+            f=P0Source(mesh, rng.standard_normal(mesh.nt)))))
 
 
 def test_deep_adaptive_mesh_matches_reference():
@@ -82,12 +66,9 @@ def test_deep_adaptive_mesh_matches_reference():
                        AdaptParams(epsilon=1e-9, theta=0.3, max_iters=20))
     assert mesh.tri_gen.max() >= 20
     rng = np.random.default_rng(7)
-    assert_matches_reference(assemble(mesh, ProblemSpec(f=problem.f,
-                                                        g=g_data)))
-    system = assemble(mesh, ProblemSpec(
-        f=P0Source(mesh, rng.standard_normal(mesh.nt))))
-    system.rhs_sigma = rng.standard_normal(mesh.ne)
-    assert_matches_reference(system)
+    assert_matches_reference(*assemble(mesh, problem))
+    assert_matches_reference(*assemble(mesh, ProblemSpec(
+        f=P0Source(mesh, rng.standard_normal(mesh.nt)))))
 
 
 def test_reloaded_mesh_without_genealogy_matches_reference():
@@ -95,18 +76,17 @@ def test_reloaded_mesh_without_genealogy_matches_reference():
     mesh = load_mesh(save_mesh(uniform_refine(lshape_mesh(), 5)))
     assert mesh.nt == 6 * 4 ** 5 and not mesh.tri_gen.any()
     _, problem = benchmark("lshape_sing").make()
-    assert_matches_reference(assemble(mesh, ProblemSpec(f=problem.f,
-                                                        g=g_data)))
+    assert_matches_reference(*assemble(mesh, problem))
 
 
 def test_single_interior_edge_matches_reference():
     mesh = unit_square_mesh()
     assert np.count_nonzero(~mesh.edge_boundary) == 1
     rng = np.random.default_rng(5)
-    system = assemble(mesh, ProblemSpec(f=lambda x, y: 1.0 + x, g=g_data))
-    assert_matches_reference(system)
-    system.rhs_sigma = rng.standard_normal(mesh.ne)
-    assert_matches_reference(system)
+    assert_matches_reference(*assemble(mesh, ProblemSpec(
+        f=lambda x, y: 1.0 + x)))
+    assert_matches_reference(*assemble(mesh, ProblemSpec(
+        f=P0Source(mesh, rng.standard_normal(mesh.nt)))))
 
 
 def one_triangle(p):

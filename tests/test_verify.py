@@ -161,11 +161,15 @@ def test_check_helmholtz_clean_on_square():
     assert all(r.passed for r in results)
 
 
-def test_check_helmholtz_builds_one_mass_and_one_p1_factor(monkeypatch):
+def test_check_helmholtz_factors_the_cr_matrix_once(monkeypatch):
+    """One mass matrix, one Crouzeix-Raviart and one P1 factorization per
+    call, both through ``assembly.spla``, and one recovery, with its
+    residual and conservation checks, per field."""
     from types import SimpleNamespace
-    from amfem import verify
-    built, factored = [], []
-    mass, splu = verify.rt_mass_matrix, verify.spla.splu
+    from amfem import assembly, verify
+    built, factored, recovered = [], [], []
+    mass, splu, recover = (verify.rt_mass_matrix, assembly.spla.splu,
+                           verify.recover)
 
     def counting_mass(space):
         if space._mass is None:
@@ -176,36 +180,19 @@ def test_check_helmholtz_builds_one_mass_and_one_p1_factor(monkeypatch):
         factored.append(A.shape)
         return splu(A, *args, **kwargs)
 
+    def counting_recover(cond, space, rhs_u):
+        recovered.append(rhs_u)
+        return recover(cond, space, rhs_u)
+
     monkeypatch.setattr(verify, "rt_mass_matrix", counting_mass)
-    monkeypatch.setattr(verify, "spla", SimpleNamespace(splu=counting_splu))
-    results = check_helmholtz(uniform_refine(unit_square_mesh(), 2))
-    assert all(r.passed for r in results)
-    assert len(built) == 1 and len(factored) == 1
-
-
-def test_check_helmholtz_factors_the_cr_matrix_once(monkeypatch):
-    """One Crouzeix-Raviart factorization per call, and one recovery, with
-    its residual and conservation checks, per field."""
-    from types import SimpleNamespace
-    from amfem import assembly, verify
-    factored, recovered = [], []
-    splu, recover = assembly.spla.splu, verify.recover
-
-    def counting_splu(A, *args, **kwargs):
-        factored.append(A.shape)
-        return splu(A, *args, **kwargs)
-
-    def counting_recover(cond, system):
-        recovered.append(system)
-        return recover(cond, system)
-
     monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=counting_splu))
     monkeypatch.setattr(verify, "recover", counting_recover)
     mesh = uniform_refine(unit_square_mesh(), 2)
     results = check_helmholtz(mesh, nvec=10)
     assert all(r.passed for r in results)
     n = int(np.count_nonzero(~mesh.edge_boundary))
-    assert factored == [(n, n)] and len(recovered) == 11
+    assert len(built) == 1 and len(recovered) == 11
+    assert factored == [(n, n), (mesh.nv - 1, mesh.nv - 1)]
 
 
 def test_all_suites_pass():
