@@ -144,12 +144,6 @@ def dorfler_mark(report: EstimatorReport, theta: float) -> MarkSet:
     return MarkSet(order[:n].astype(np.int64), float(csum[n - 1] / total))
 
 
-def _patch_pos(mesh):
-    """(ne, 2) live positions of the triangles on either side of each edge,
-    -1 where there is none: the last slot of an array padded by one."""
-    return np.where(mesh.edge_tri >= 0, mesh.live_pos[mesh.edge_tri], -1)
-
-
 def osc_mark(report: EstimatorReport, theta_tilde: float,
              existing: MarkSet | None = None) -> MarkSet:
     """Enlarge a marked set until the triangles of its edge patches carry a
@@ -168,7 +162,8 @@ def osc_mark(report: EstimatorReport, theta_tilde: float,
     osc2 = report.osc2_tris
     total = osc2.sum()
     chosen = np.array(existing.edges, dtype=np.int64)
-    pos = _patch_pos(mesh)
+    # -1 in edge_tri, no triangle, is the last slot of arrays padded by one
+    pos = mesh.edge_tri
     covered_tri = np.zeros(mesh.nt + 1, dtype=bool)
     covered_tri[pos[chosen]] = True
     covered = osc2[covered_tri[:-1]].sum()
@@ -256,7 +251,7 @@ def _combinatorial_check(coarse, fine):
 def _coarse_dev2(vals, fine, coarse):
     """Per coarse triangle, the squared L2 distance of a fine P0 field to
     its coarse means; also the coarse position of every fine triangle."""
-    anc = coarse.live_pos[ancestor_map(fine, coarse)]
+    anc = ancestor_map(fine, coarse)
     area = fine.tri_area
     cmean = (np.bincount(anc, weights=vals * area, minlength=coarse.nt)
              / coarse.tri_area)
@@ -282,7 +277,7 @@ def _transfer_monitors(hist, prev, mesh, src, monitors):
     if not monitors:
         return None
     hist.monitors["n_gone"].append(len(gone))
-    patch = _patch_pos(pmesh)[pmarked.edges]
+    patch = pmesh.edge_tri[pmarked.edges]
     hist.monitors["n_patch"].append(len(np.unique(patch[patch >= 0])))
     den = (float(preport.eta2_edges[gone].sum())
            + _coarse_osc2(src, mesh, pmesh))

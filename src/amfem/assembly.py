@@ -189,7 +189,8 @@ def _elimination_order(mesh):
         depth += depth[jumps[-1]]
         jumps.append(jumps[-1][jumps[-1]])
     interior = np.flatnonzero(~mesh.edge_boundary)
-    a, b = mesh.edge_tri[interior].T
+    # the tree's nodes are genealogy rows, edge_tri holds live positions
+    a, b = mesh.live[mesh.edge_tri[interior]].T
     swap = depth[a] < depth[b]
     a, b = np.where(swap, b, a), np.where(swap, a, b)
     lift = depth[a] - depth[b]

@@ -49,7 +49,7 @@ def _jumps_from_affine(mesh, a0, c):
 
     def trace(side, pts):
         tri = mesh.edge_tri[:, side]
-        pos = mesh.live_pos[np.where(tri >= 0, tri, mesh.live[0])]
+        pos = np.maximum(tri, 0)
         sig = a0[pos] + c[pos, None] * pts
         vals = (sig * t).sum(axis=1)
         return np.where(tri >= 0, vals, 0.0)

@@ -147,15 +147,12 @@ def interpolate_rt(tau, space: RTSpace) -> DofVector:
 
 
 def prolongate(dof: DofVector, fine: Mesh) -> DofVector:
-    """Represent a coarse P0 or RT field exactly on a nested finer mesh."""
+    """Represent a coarse RT field exactly on a nested finer mesh.  A P0
+    field carries over as ``P0Source(coarse, values).cell_means(fine)``."""
+    if dof.kind != "RT":
+        raise ValueError("prolongation supports RT fields, not %s" % dof.kind)
     coarse = dof.mesh
     anc = ancestor_map(fine, coarse)
-    anc_pos = coarse.live_pos[anc]
-    if dof.kind == "P0":
-        return DofVector("P0", dof.values[anc_pos], fine)
-    if dof.kind != "RT":
-        raise ValueError("prolongation supports RT and P0 fields, not %s"
-                         % dof.kind)
     a0, c = rt_affine(RTSpace(coarse), dof.values)
     # flux of the coarse field through each fine edge; the integrand is
     # linear along the edge, so the midpoint value is exact.  Taking the
@@ -163,7 +160,7 @@ def prolongate(dof: DofVector, fine: Mesh) -> DofVector:
     # same flux because normal components match across coarse edges.
     left = np.where(fine.edge_tri[:, 0] >= 0, fine.edge_tri[:, 0],
                     fine.edge_tri[:, 1])
-    owner = anc_pos[fine.live_pos[left]]
+    owner = anc[left]
     mid = 0.5 * (fine.points[fine.edge_verts[:, 0]]
                  + fine.points[fine.edge_verts[:, 1]])
     sig = a0[owner] + c[owner, None] * mid

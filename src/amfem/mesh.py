@@ -70,20 +70,20 @@ class Mesh:
     alive       (nt_all,) live flags;  live = ids of live triangles
     live_pos    (nt_all,) position of a live triangle in ``live``, else -1
 
-    The tables below cover the live triangles.  Edge ids follow the
-    lexicographic (min vid, max vid) order.  A mesh that refinement builds
-    carries over the values of its input mesh's surviving rows and unsplit
-    edges and computes only those of its appended rows and new edges; a
-    mesh built from arrays alone computes them all.  Both ways give the
-    same values:
+    The tables below cover the live triangles and name each one by its
+    live position, never by its row.  Edge ids follow the lexicographic
+    (min vid, max vid) order.  A mesh that refinement builds carries over
+    the values of its input mesh's surviving rows and unsplit edges and
+    computes only those of its appended rows and new edges; a mesh built
+    from arrays alone computes them all.  Both ways give the same values:
 
     edge_verts  (ne, 2) with a < b
-    edge_tri    (ne, 2) [left, right] triangle ids, -1 when absent
+    edge_tri    (ne, 2) [left, right] live positions, -1 when absent
     edge_len    (ne,)
     edge_boundary  (ne,) bool
-    tri_edge    (nl, 3) edge id opposite each local vertex, live order
+    tri_edge    (nl, 3) edge id opposite each local vertex
     tri_sign    (nl, 3) +1 where the triangle is left of the edge tangent
-    tri_area, tri_h   (nl,) areas and diameters, live order
+    tri_area, tri_h   (nl,) areas and diameters
 
     Every mesh is checked for finite coordinates, positive areas,
     conformity, the Euler relation and its area.  The scan for vertices no
@@ -189,7 +189,7 @@ class Mesh:
                                         sign.reshape(-1, 3)])
 
         edge_tri = np.full((ne, 2), -1, dtype=np.int64)
-        owner = np.repeat(live, 3)
+        owner = np.repeat(np.arange(live.size), 3)
         all_edge = self.tri_edge.ravel()
         all_sign = self.tri_sign.ravel()
         for side, mask in ((0, all_sign > 0), (1, all_sign < 0)):
@@ -347,15 +347,6 @@ def load_mesh(text):
             refedge[i] = r
         tv[i] = vs
 
-    seen = {}
-    for i in range(nt):
-        key = tuple(sorted(tv[i]))
-        if key in seen:
-            raise MeshFormatError(
-                "non-conforming mesh: triangles %d and %d share all three "
-                "vertices" % (seen[key], i))
-        seen[key] = i
-
     # normalize to counterclockwise order, remapping the given label: a
     # swap of locals 1 and 2 swaps the edges opposite them
     p = points[tv]
@@ -399,7 +390,7 @@ def _refine(mesh, marked):
     front = np.flatnonzero(marked)
     while front.size:
         tris = mesh.edge_tri[front].ravel()
-        cand = ref[mesh.live_pos[tris[tris >= 0]]]
+        cand = ref[tris[tris >= 0]]
         front = cand[~marked[cand]]
         marked[front] = True
 
@@ -492,9 +483,9 @@ def uniform_refine(mesh, rounds=1):
 
 
 def ancestor_map(fine, coarse):
-    """For each live triangle of ``fine`` (in live order), the id of the
-    live ``coarse`` triangle containing it.  Raises NotNestedError when the
-    meshes are not from the same hierarchy with coarse preceding fine."""
+    """For each live triangle of ``fine`` (in live order), the live position
+    in ``coarse`` of the triangle containing it.  Raises NotNestedError when
+    the meshes are not from the same hierarchy with coarse preceding fine."""
     if fine._root is not coarse._root:
         raise NotNestedError("meshes come from different initial meshes")
     n_coarse = len(coarse.tri_verts)
@@ -520,7 +511,7 @@ def ancestor_map(fine, coarse):
     if np.any(out < 0):
         raise NotNestedError("triangle %d has no ancestor in the coarse mesh"
                              % fine.live[np.argmax(out < 0)])
-    return out
+    return coarse.live_pos[out]
 
 
 def triangle_angles(p):

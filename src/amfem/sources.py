@@ -117,8 +117,7 @@ class P0Source:
     def _on(self, mesh):
         if mesh is self.mesh:
             return self.values
-        anc = ancestor_map(mesh, self.mesh)
-        return self.values[self.mesh.live_pos[anc]]
+        return self.values[ancestor_map(mesh, self.mesh)]
 
     def cell_means(self, mesh):
         return self._on(mesh)

@@ -21,8 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adapt import (AdaptParams, ConvergenceHistory, MarkSet, amfem, approx,
-                    dorfler_mark, osc_mark, _coarse_dev2, _coarse_osc2,
-                    _patch_pos)
+                    dorfler_mark, osc_mark, _coarse_dev2, _coarse_osc2)
 from . import assembly
 from .assembly import (ProblemSpec, _quad_norm2_diff, condense, error_sigma,
                        recover, solve_poisson)
@@ -530,7 +529,7 @@ def check_marking(seed=0):
     osc2 = rng2.uniform(0.0, 1.0, m2.nt)
     rep = EstimatorReport(m2, np.zeros(m2.ne), osc2)
     ms = osc_mark(rep, 0.7, MarkSet(np.empty(0, dtype=np.int64)))
-    patch = _patch_pos(m2)[ms.edges]
+    patch = m2.edge_tri[ms.edges]
     share = osc2[np.unique(patch[patch >= 0])].sum() / osc2.sum()
     out.append(CheckResult("marking.osc_cover", float(share), 0.49,
                            share >= 0.49))

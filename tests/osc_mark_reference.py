@@ -16,7 +16,7 @@ from amfem.adapt import MarkSet
 
 
 def _patch_tris(mesh, eid):
-    return [int(t) for t in mesh.edge_tri[eid] if t >= 0]
+    return [int(mesh.live[t]) for t in mesh.edge_tri[eid] if t >= 0]
 
 
 def osc_mark(report, theta_tilde, existing=None, mesh=None):

@@ -106,7 +106,7 @@ def test_osc_mark_reaches_target_share():
         for e in ms.edges:
             tl, tr = m.edge_tri[e]
             covered.update(t for t in (tl, tr) if t >= 0)
-        pos = m.live_pos[np.array(sorted(covered), dtype=np.int64)]
+        pos = np.array(sorted(covered), dtype=np.int64)
         assert osc2[pos].sum() >= tt * tt * osc2.sum() - 1e-12
 
 

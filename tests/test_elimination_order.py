@@ -55,8 +55,8 @@ def test_order_is_a_nested_dissection_of_the_bisection_tree(meshes, reload):
     assert np.array_equal(np.sort(order), interior)
     lca, depth = {}, {}
     for e in interior:
-        up = chain(parent, mesh.edge_tri[e, 0])
-        other = set(chain(parent, mesh.edge_tri[e, 1]))
+        up = chain(parent, mesh.live[mesh.edge_tri[e, 0]])
+        other = set(chain(parent, mesh.live[mesh.edge_tri[e, 1]]))
         lca[e] = next(node for node in up if node in other)
         depth[e] = len(chain(parent, lca[e])) - 1
     assert list(order) == sorted(interior,

@@ -7,7 +7,7 @@ from amfem.fespace import (DofVector, RTSpace, curl_matrix, div_matrix,
                            rt_mass_matrix)
 from amfem.mesh import load_mesh, uniform_refine
 from amfem.quadrature import tri_points, tri_rule
-from amfem.sources import FunctionSource
+from amfem.sources import FunctionSource, P0Source
 from amfem.verify import fit_points, unit_square_mesh
 
 REF_TRI = """amfemmesh 1
@@ -188,11 +188,17 @@ def test_prolongation_preserves_mass_norm():
 def test_p0_prolongation_copies_ancestor_values():
     coarse = unit_square_mesh()
     fine = uniform_refine(coarse, 2)
-    cdof = DofVector("P0", np.array([3.0, -7.0]), coarse)
-    fdof = prolongate(cdof, fine)
+    values = P0Source(coarse, np.array([3.0, -7.0])).cell_means(fine)
     cent = fine.points[fine.tri_verts[fine.live]].mean(axis=1)
     want = np.where(cent[:, 0] > cent[:, 1], 3.0, -7.0)
-    assert np.array_equal(fdof.values, want)
+    assert np.array_equal(values, want)
+
+
+def test_prolongate_rejects_a_p0_field():
+    coarse = unit_square_mesh()
+    cdof = DofVector("P0", np.array([3.0, -7.0]), coarse)
+    with pytest.raises(ValueError, match="RT fields, not P0"):
+        prolongate(cdof, uniform_refine(coarse))
 
 
 def test_curl_of_linear_is_constant_field():
@@ -225,7 +231,7 @@ def test_interpolant_is_hdiv_conforming():
     for e in interior[::3]:
         mid = 0.5 * (m.points[m.edge_verts[e, 0]]
                      + m.points[m.edge_verts[e, 1]])
-        tl, tr = m.edge_tri[e]
+        tl, tr = m.live[m.edge_tri[e]]
         vl = flux_at(m, a0, c, tl, mid) @ n[e]
         vr = flux_at(m, a0, c, tr, mid) @ n[e]
         assert vl == pytest.approx(vr, abs=1e-12)

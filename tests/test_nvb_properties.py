@@ -1,8 +1,9 @@
 """Property tests of newest-vertex bisection over random marked-edge sets at
 random depths on the three benchmark meshes, and of what rides on it: the
-edge tables a refinement merges from its parent, the load data a source
-carries from mesh to mesh, the exact transfer of RT and P0 fields to a
-refinement, and the elementwise conservation of the solve."""
+edge tables a refinement merges from its parent, the live positions that
+edge_tri and ancestor_map give, the load data a source carries from mesh
+to mesh, the exact transfer of RT and P0 fields to a refinement, and the
+elementwise conservation of the solve."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,9 +50,8 @@ def boundary_length(mesh):
 def assert_nested(fine, coarse):
     """Each fine centroid lies in the coarse triangle ancestor_map names."""
     anc = ancestor_map(fine, coarse)
-    assert np.all(coarse.alive[anc])
     cent = fine.points[fine.tri_verts[fine.live]].mean(axis=1)
-    v = coarse.points[coarse.tri_verts[anc]]
+    v = coarse.points[coarse.tri_verts[coarse.live[anc]]]
     T = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
     lam = np.linalg.solve(T, (cent - v[:, 0])[:, :, None])[:, :, 0]
     assert lam.min() > -1e-12 and lam.sum(axis=1).max() < 1 + 1e-12
@@ -94,6 +94,24 @@ def test_refine_edges_invariants(name, depth, data):
         assert_refinement(mesh, fine, marked, bisected)
         mesh = fine
     assert_nested(mesh, mesh0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(meshes=nested_meshes(), reload=st.booleans(), data=st.data())
+def test_edge_tri_and_ancestor_map_give_live_positions(meshes, reload, data):
+    """Each live triangle is the left or right neighbour, by its sign, of
+    its three edges, and every fine triangle's ancestor is a coarse live
+    position; with and without a save/load round trip first."""
+    coarse, fine = meshes
+    if reload:
+        coarse = load_mesh(save_mesh(coarse))
+        fine = refine_edges(coarse, data.draw(marked_edges(coarse)))[0]
+    for mesh in (coarse, fine):
+        side = np.where(mesh.tri_sign > 0, 0, 1)
+        pos = np.repeat(np.arange(mesh.nt)[:, None], 3, axis=1)
+        assert np.array_equal(mesh.edge_tri[mesh.tri_edge, side], pos)
+    anc = ancestor_map(fine, coarse)
+    assert anc.min() >= 0 and anc.max() < coarse.nt
 
 
 TABLES = ("edge_verts", "edge_tri", "edge_boundary", "edge_len", "tri_edge",
@@ -194,7 +212,7 @@ def test_rt_prolongation_is_exact(meshes, seed):
     """On every fine triangle the prolongated flux field has the affine
     form a0 + c x and the divergence of the coarse triangle containing it."""
     coarse, fine = meshes
-    anc = coarse.live_pos[ancestor_map(fine, coarse)]
+    anc = ancestor_map(fine, coarse)
     values = random_values(seed, coarse.ne)
     fine_values = prolongate(DofVector("RT", values, coarse), fine).values
     for c_part, f_part in zip(rt_affine(RTSpace(coarse), values),
@@ -211,8 +229,8 @@ def test_rt_prolongation_is_exact(meshes, seed):
 def test_p0_prolongation_is_exact(meshes, seed):
     coarse, fine = meshes
     values = random_values(seed, coarse.nt)
-    fine_values = prolongate(DofVector("P0", values, coarse), fine).values
-    anc = coarse.live_pos[ancestor_map(fine, coarse)]
+    fine_values = P0Source(coarse, values).cell_means(fine)
+    anc = ancestor_map(fine, coarse)
     assert np.array_equal(fine_values, values[anc])
 
 
