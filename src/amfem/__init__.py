@@ -16,7 +16,7 @@ from .fespace import (RTSpace, DofVector, interpolate_rt, prolongate,
 from .assembly import (ProblemSpec, MixedSolution, SolverError, assemble,
                        solve, solve_poisson, error_sigma)
 from .estimator import EstimatorReport, oscillation, estimate
-from .adapt import (AdaptParams, MarkSet, ConvergenceHistory, dorfler_mark,
-                    osc_mark, amfem, approx, two_stage)
+from .adapt import (AdaptParams, ConvergenceHistory, dorfler_mark, osc_mark,
+                    amfem, approx, two_stage)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,8 +4,9 @@ The main loop alternates solve / estimate / mark / refine.  Edges are
 marked by Doerfler's criterion on the squared edge indicators; when the
 data oscillation decays slower than a geometric target mu^k the marked set
 is enlarged until the oscillation carried by the marked patches covers a
-theta_tilde fraction.  Refinement bisects every triangle of each marked
-edge's patch until the edge itself has split.
+theta_tilde fraction.  A set of marks is an int64 array of edge ids.
+Refinement bisects every triangle of each marked edge's patch until the
+edge itself has split.
 
 ``approx`` is the data-approximation counterpart: it ignores the solution
 entirely and drives only the oscillation below a tolerance, greedily
@@ -23,12 +24,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import ProblemSpec, error_sigma, solve_poisson
-from .estimator import EstimatorReport, estimate, oscillation
+from .estimator import estimate, oscillation
 from .fespace import prolongate, rt_mass_matrix
 from .mesh import Mesh, ancestor_map, refine_edges
 from .sources import P0Source, as_source
 
-__all__ = ["AdaptParams", "MarkSet", "HistoryRecord", "ConvergenceHistory",
+__all__ = ["AdaptParams", "HistoryRecord", "ConvergenceHistory",
            "dorfler_mark", "osc_mark", "amfem", "approx", "two_stage",
            "two_stage_settings"]
 
@@ -57,20 +58,6 @@ class AdaptParams:
         if self.max_iters < 0 or self.max_triangles < 1:
             raise ValueError("bad stopping parameters")
         return self
-
-
-@dataclass
-class MarkSet:
-    """Marked edge ids, ordered by decreasing indicator; ``achieved`` is the
-    indicator fraction the set carries."""
-    edges: np.ndarray
-    achieved: float = 0.0
-
-    def __len__(self):
-        return len(self.edges)
-
-    def __iter__(self):
-        return iter(self.edges)
 
 
 @dataclass
@@ -128,27 +115,30 @@ class ConvergenceHistory:
         return self
 
 
-def dorfler_mark(report: EstimatorReport, theta: float) -> MarkSet:
-    """Smallest descending-prefix edge set carrying at least a theta
-    fraction of the total squared indicator (ties by ascending edge id)."""
+def dorfler_mark(eta2, theta: float) -> np.ndarray:
+    """The smallest descending-prefix set of edge ids carrying at least a
+    theta fraction of the total squared indicator ``eta2``, in decreasing
+    indicator order (ties by ascending edge id)."""
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1], got %r" % theta)
-    eta2 = report.eta2_edges
     total = eta2.sum()
     if total <= 0.0:
-        return MarkSet(np.empty(0, dtype=np.int64), 0.0)
+        return np.empty(0, dtype=np.int64)
     order = np.argsort(-eta2, kind="stable")
     csum = np.cumsum(eta2[order])
     n = int(np.searchsorted(csum, theta * total)) + 1
-    n = min(n, len(order))
-    return MarkSet(order[:n].astype(np.int64), float(csum[n - 1] / total))
+    return order[:min(n, len(order))].astype(np.int64)
 
 
-def osc_mark(report: EstimatorReport, theta_tilde: float,
-             existing: MarkSet | None = None) -> MarkSet:
-    """Enlarge a marked set until the triangles of its edge patches carry a
-    theta_tilde fraction of the squared oscillation.  Greedy: repeatedly add
-    the edge contributing the most uncovered oscillation (ties by id).
+def osc_mark(mesh: Mesh, osc2, theta_tilde: float,
+             marked=None) -> np.ndarray:
+    """Enlarge the edge ids ``marked`` until the triangles of their patches
+    carry theta_tilde**2 of the squared oscillation ``osc2`` (per live
+    position); returns ``marked`` followed by the picks.  Greedy:
+    repeatedly add the edge contributing the most uncovered oscillation
+    (ties by id).  When no edge has a gain left, every triangle with
+    positive oscillation is covered, and the set stands even if the sum
+    of the picks falls a few ulps short of the target (theta_tilde = 1).
 
     An initial ``(-gain, id)`` key leaves the heap only when popped, so the
     initial keys still in it come out in sorted order.  The heap is
@@ -156,12 +146,8 @@ def osc_mark(report: EstimatorReport, theta_tilde: float,
     small heap of the re-ranked (stale) entries."""
     if not 0.0 <= theta_tilde <= 1.0:
         raise ValueError("theta_tilde must lie in [0, 1]")
-    if existing is None:
-        existing = MarkSet(np.empty(0, dtype=np.int64), 0.0)
-    mesh = report.mesh
-    osc2 = report.osc2_tris
     total = osc2.sum()
-    chosen = np.array(existing.edges, dtype=np.int64)
+    chosen = np.array([] if marked is None else marked, dtype=np.int64)
     # -1 in edge_tri, no triangle, is the last slot of arrays padded by one
     pos = mesh.edge_tri
     covered_tri = np.zeros(mesh.nt + 1, dtype=bool)
@@ -169,7 +155,7 @@ def osc_mark(report: EstimatorReport, theta_tilde: float,
     covered = osc2[covered_tri[:-1]].sum()
     target = theta_tilde ** 2 * total
     if theta_tilde == 0.0 or total <= 0.0 or covered >= target:
-        return MarkSet(chosen, existing.achieved)
+        return chosen
 
     # gain of an edge: the oscillation of its patch triangles not yet
     # covered, summed left then right; recomputed when popped, since
@@ -227,10 +213,9 @@ def osc_mark(report: EstimatorReport, theta_tilde: float,
         picks.append(eid)
         cov[left] = cov[right] = 1
         covered += g
-    if covered < target:
+    if covered < target and np.any(osc2[~np.frombuffer(cov, bool)[:-1]] > 0):
         raise AssertionError("could not cover the oscillation target")
-    return MarkSet(np.append(chosen, picks).astype(np.int64),
-                   existing.achieved)
+    return np.append(chosen, picks).astype(np.int64)
 
 
 def _combinatorial_check(coarse, fine):
@@ -277,7 +262,7 @@ def _transfer_monitors(hist, prev, mesh, src, monitors):
     if not monitors:
         return None
     hist.monitors["n_gone"].append(len(gone))
-    patch = pmesh.edge_tri[pmarked.edges]
+    patch = pmesh.edge_tri[pmarked]
     hist.monitors["n_patch"].append(len(np.unique(patch[patch >= 0])))
     den = (float(preport.eta2_edges[gone].sum())
            + _coarse_osc2(src, mesh, pmesh))
@@ -343,9 +328,10 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
                      params.max_iters, params.max_triangles)
         marked, bisected = (), ()
         if not done:
-            marked = dorfler_mark(report, params.theta)
+            marked = dorfler_mark(report.eta2_edges, params.theta)
             if np.sqrt(osc2) > osc0 * params.mu ** k:
-                marked = osc_mark(report, params.theta_tilde, marked)
+                marked = osc_mark(mesh, report.osc2_tris, params.theta_tilde,
+                                  marked)
             new_mesh, bisected = refine_edges(mesh, marked)
         hist.add(k=k, stage="amfem", nT=mesh.nt, nE=mesh.ne, eta2=eta2,
                  osc2=osc2, err=err, n_marked=len(marked),
@@ -379,8 +365,7 @@ def approx(f, mesh0: Mesh, epsilon: float, theta_osc: float = 0.5,
                      max_triangles)
         marked, bisected = (), ()
         if not done:
-            report = EstimatorReport(mesh, np.zeros(mesh.ne), osc2_tris)
-            marked = osc_mark(report, theta_osc)
+            marked = osc_mark(mesh, osc2_tris, theta_osc)
             new_mesh, bisected = refine_edges(mesh, marked)
         hist.add(k=k, stage="approx", nT=mesh.nt, nE=mesh.ne,
                  eta2=float("nan"), osc2=osc2, err=float("nan"),

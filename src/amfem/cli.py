@@ -14,14 +14,14 @@ Subcommands and the options each one reads (every command also takes
 Outputs land in the directory given by --out (or the AMFEM_OUT environment
 variable).  Every run writes a run.meta with the options of the command
 that ran, as they took effect, the library versions and the options that
-took no effect (unused_options): the loop options of a uniform study, and
-the seed of a check whose suites draw no random numbers.  A solve also
-records the size of the factored system and the nonzeros stored for its
-factors (n_multipliers, factor_nnz).  A --config file holds key=value lines
-whose keys are the command's own long options (theta_tilde or
-theta-tilde); they are parsed like flags placed before the command line
-ones, so explicit flags win, and an unknown key or one that belongs to
-another command is an error.  A boolean such as two_stage takes 0, 1, true
+took no effect (unused_options): the loop options of a uniform study,
+quad_degree where the load is piecewise constant, and the seed of a check
+whose suites draw no random numbers.  A solve also records the size of the
+factored system and the nonzeros stored for its factors (n_multipliers,
+factor_nnz).  A --config file holds key=value lines whose keys are the
+command's own long options (theta_tilde or theta-tilde); they are parsed
+like flags placed before the command line ones, so explicit flags win, and
+an unknown key or one that belongs to another command is an error.  A boolean such as two_stage takes 0, 1, true
 or false.  Options must be spelled in full.
 
 Exit codes: 0 success, 1 usage, configuration or input parse error,
@@ -185,9 +185,11 @@ def _parse(argv):
 
 def _make(args):
     """The benchmark's mesh and problem, with a callable load integrated
-    by the configured rule."""
+    by the configured rule.  A piecewise-constant load is integrated
+    exactly, and the run records quad_degree as unused."""
     mesh0, problem = benchmark(args.benchmark).make()
-    if callable(problem.f):
+    args._exact_load = not callable(problem.f)
+    if not args._exact_load:
         problem = replace(problem, f=FunctionSource(problem.f,
                                                     args.quad_degree))
     return mesh0, problem
@@ -213,22 +215,23 @@ def _suites(args):
 
 def _unused_options(args):
     """The options of the command that ran which took no effect: a uniform
-    study reads none of the loop options, and a check whose suites draw no
-    random numbers reads no seed."""
+    study reads none of the loop options, a piecewise-constant load no
+    quad_degree, and a check whose suites draw no random numbers no seed."""
     opts = vars(args)
     if args.command == "check":
         return [] if any(map(suite_draws, _suites(args))) else ["seed"]
-    if opts.get("uniform") is None and opts.get("mode") != "uniform":
-        return []
-    return sorted(name for name in ("two_stage", *asdict(AdaptParams()))
-                  if name in opts)
+    unused = ["quad_degree"] if opts.get("_exact_load") else []
+    if opts.get("uniform") is not None or opts.get("mode") == "uniform":
+        unused += [name for name in ("two_stage", *asdict(AdaptParams()))
+                   if name in opts]
+    return sorted(unused)
 
 
 def _write_meta(args, wall_ms, extra=None):
     opts = vars(args)
     lines = ["command=%s" % args.command]
     for key in sorted(opts):
-        if key not in ("command", "config"):
+        if key not in ("command", "config") and not key.startswith("_"):
             lines.append("%s=%s" % (key, opts[key]))
     lines.append("amfem_version=%s" % __version__)
     lines.append("numpy_version=%s" % np.__version__)

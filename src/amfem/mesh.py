@@ -194,10 +194,15 @@ class Mesh:
         all_sign = self.tri_sign.ravel()
         for side, mask in ((0, all_sign > 0), (1, all_sign < 0)):
             eids = all_edge[mask]
-            if np.bincount(eids, minlength=ne).max() > 1:
+            count = np.bincount(eids, minlength=ne)
+            if count.max() > 1:
+                e = int(np.argmax(count))
+                a, b = self.edge_verts[e, [side, 1 - side]]
+                t1, t2 = live[owner[mask][eids == e][:2]]
                 raise MeshFormatError(
-                    "non-conforming mesh: an edge is traversed twice in the "
-                    "same direction (duplicate or misoriented triangle)")
+                    "non-conforming mesh: edge %d -> %d is traversed in the "
+                    "same direction by triangles %d and %d (duplicate or "
+                    "misoriented triangle)" % (a, b, t1, t2))
             edge_tri[eids, side] = owner[mask]
         self.edge_tri = edge_tri
         self.edge_boundary = (edge_tri[:, 0] < 0) | (edge_tri[:, 1] < 0)
@@ -452,12 +457,13 @@ def _refine(mesh, marked):
 def refine_edges(mesh, marked):
     """Bisect the mesh until every marked edge has been split.
 
-    ``marked`` is an iterable of live edge ids (a MarkSet works).  Both
-    triangles of a marked edge's patch get bisected along the way, plus any
-    completion bisections needed for conformity.  Returns ``(mesh, bisected)``
-    where ``bisected`` lists the ids of all triangles actually bisected.
+    ``marked`` is an array-like of edge ids, such as the int64 arrays the
+    markers return.  Both triangles of a marked edge's patch get bisected
+    along the way, plus any completion bisections needed for conformity.
+    Returns ``(mesh, bisected)`` where ``bisected`` lists the ids of all
+    triangles actually bisected.
     """
-    edge_ids = np.fromiter(getattr(marked, "edges", marked), dtype=np.int64)
+    edge_ids = np.asarray(marked, dtype=np.int64)
     if not edge_ids.size:
         return mesh, np.empty(0, dtype=np.int64)
     bad = edge_ids[(edge_ids < 0) | (edge_ids >= mesh.ne)]

@@ -20,12 +20,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapt import (AdaptParams, ConvergenceHistory, MarkSet, amfem, approx,
+from .adapt import (AdaptParams, ConvergenceHistory, amfem, approx,
                     dorfler_mark, osc_mark, _coarse_dev2, _coarse_osc2)
 from . import assembly
 from .assembly import (ProblemSpec, _quad_norm2_diff, condense, error_sigma,
                        recover, solve_poisson)
-from .estimator import EstimatorReport, estimate, indicator_edges
+from .estimator import estimate, indicator_edges
 from .fespace import (DofVector, RTSpace, curl_matrix, div_matrix,
                       interpolate_rt, prolongate, rt_mass_matrix)
 from .mesh import load_mesh, triangle_angles, uniform_refine
@@ -505,13 +505,12 @@ def check_marking(seed=0):
     for trial in range(8):
         eta2 = rng.uniform(0.0, 1.0, mesh.ne) ** 2
         theta = float(rng.uniform(0.2, 0.95))
-        report = EstimatorReport(mesh, eta2, np.zeros(mesh.nt))
-        ms = dorfler_mark(report, theta)
+        ms = dorfler_mark(eta2, theta)
         worst_card = max(worst_card,
                          len(ms) - _dorfler_bruteforce(eta2, theta))
-        kept = eta2[ms.edges].sum()
+        kept = eta2[ms].sum()
         if len(ms) > 1:
-            drop = (kept - eta2[ms.edges[-1]]) / eta2.sum()
+            drop = (kept - eta2[ms[-1]]) / eta2.sum()
             worst_min = max(worst_min, drop - theta)
         if kept / eta2.sum() < theta:
             worst_min = max(worst_min, 1.0)
@@ -519,17 +518,16 @@ def check_marking(seed=0):
     out.append(_leq("marking.minimality_defect", worst_min, 0.0))
 
     eta2 = np.array([9.0, 4.0, 1.0, 1.0, 1.0])
-    ms = dorfler_mark(EstimatorReport(mesh, eta2, np.zeros(mesh.nt)), 0.5)
+    ms = dorfler_mark(eta2, 0.5)
     out.append(CheckResult("marking.halfset", float(len(ms)), 1.0,
-                           list(ms.edges) == [0]))
+                           ms.tolist() == [0]))
 
     # oscillation cover: greedy enlargement reaches the requested share
     m2 = uniform_refine(mesh, 2)
     rng2 = np.random.default_rng(seed + 1)
     osc2 = rng2.uniform(0.0, 1.0, m2.nt)
-    rep = EstimatorReport(m2, np.zeros(m2.ne), osc2)
-    ms = osc_mark(rep, 0.7, MarkSet(np.empty(0, dtype=np.int64)))
-    patch = m2.edge_tri[ms.edges]
+    ms = osc_mark(m2, osc2, 0.7)
+    patch = m2.edge_tri[ms]
     share = osc2[np.unique(patch[patch >= 0])].sum() / osc2.sum()
     out.append(CheckResult("marking.osc_cover", float(share), 0.49,
                            share >= 0.49))

@@ -233,7 +233,8 @@ def test_study_command(tmp_path):
     lines = (tmp_path / "study.csv").read_text().strip().splitlines()
     assert lines[0] == "level,nT,nE,eta2,osc2,err"
     assert len(lines) == 4
-    assert read_meta(tmp_path)["unused_options"] == ""
+    # checker_const's load is piecewise constant: no quadrature runs
+    assert read_meta(tmp_path)["unused_options"] == "quad_degree"
 
 
 def test_uniform_study_records_the_loop_options_as_unused(tmp_path):
@@ -241,7 +242,8 @@ def test_uniform_study_records_the_loop_options_as_unused(tmp_path):
                   "uniform", "--levels", "2", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert read_meta(tmp_path)["unused_options"].split(",") == [
-        "max_iters", "max_triangles", "mu", "theta", "theta_tilde"]
+        "max_iters", "max_triangles", "mu", "quad_degree", "theta",
+        "theta_tilde"]
 
 
 def test_check_single_suite(tmp_path):
@@ -473,4 +475,20 @@ def test_run_meta_lists_the_options_of_the_command_only(tmp_path):
         assert key not in meta
     assert meta["theta_osc"] == "0.5" and meta["max_triangles"] == "300000"
     assert meta["epsilon"] == "0.001"
-    assert meta["unused_options"] == ""
+    assert meta["unused_options"] == "quad_degree"
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--refine-uniform", "1"),
+    ("adapt", "--epsilon", "0.3"),
+    ("approx", "--epsilon", "1e-3"),
+], ids=["solve", "adapt", "approx"])
+def test_a_piecewise_constant_load_records_quad_degree_as_unused(tmp_path,
+                                                                  argv):
+    command, *rest = argv
+    res = run_cli(command, "--benchmark", "checker_const", "--quad-degree",
+                  "5", *rest, "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    meta = read_meta(tmp_path)
+    assert meta["quad_degree"] == "5"
+    assert meta["unused_options"] == "quad_degree"

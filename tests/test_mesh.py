@@ -211,6 +211,20 @@ def test_load_rejects_duplicate_triangle():
             load_mesh(text)
 
 
+def test_duplicate_triangle_error_names_the_edge_and_both_triangles():
+    text = "amfemmesh 1\n3 2\n0 0\n1 0\n0 1\n0 1 2 -\n1 2 0 -\n"
+    with pytest.raises(MeshFormatError,
+                       match="edge 0 -> 1 .* by triangles 0 and 1"):
+        load_mesh(text)
+    # two triangles above the edge 0 -> 1, and the last two rows both
+    # below it, walking it from 1 to 0
+    text = ("amfemmesh 1\n6 4\n0 0\n1 0\n0 -1\n1 -1\n0 1\n1 1\n"
+            "0 1 4 -\n1 5 4 -\n1 0 2 -\n1 0 3 -\n")
+    with pytest.raises(MeshFormatError,
+                       match="edge 1 -> 0 .* by triangles 2 and 3"):
+        load_mesh(text)
+
+
 def test_load_rejects_edge_traversed_twice_in_same_direction():
     # both triangles lie left of the edge 0 -> 1, so they overlap
     text = "amfemmesh 1\n4 2\n0 0\n1 0\n0 1\n1 1\n0 1 2 -\n0 1 3 -\n"
@@ -288,6 +302,19 @@ def test_load_flips_clockwise_triangle():
 def test_refine_edges_rejects_unknown_edge_id(bad):
     with pytest.raises(ValueError, match="no edge with id %d" % bad):
         refine_edges(unit_square_mesh(), [0, bad])
+
+
+def test_refine_edges_takes_a_list_or_an_int64_array():
+    m = uniform_refine(lshape_mesh(), 1)
+    ids = [7, 0, 12, 3]
+    a, bis_a = refine_edges(m, ids)
+    b, bis_b = refine_edges(m, np.array(ids, dtype=np.int64))
+    assert np.array_equal(bis_a, bis_b)
+    for name in ("points", "tri_verts", "tri_refedge", "tri_gen",
+                 "tri_parent", "alive", "edge_verts", "edge_tri"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    with pytest.raises(ValueError, match="no edge with id %d" % m.ne):
+        refine_edges(m, np.array([0, m.ne], dtype=np.int64))
 
 
 def test_ancestor_map_contains_centroids():

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import osc_mark_reference as ref
-from amfem.adapt import MarkSet, osc_mark
-from amfem.estimator import EstimatorReport
+from amfem.adapt import osc_mark
 from amfem.mesh import refine_edges, uniform_refine
 from amfem.verify import benchmark
 
@@ -35,11 +34,11 @@ def osc2_vectors(nt, rng):
     return [cont, dyadic, sparse, np.zeros(nt)]
 
 
-def existing_sets(ne, rng):
+def marked_sets(ne, rng):
     yield None
-    yield MarkSet(np.empty(0, dtype=np.int64), 0.0)
+    yield np.empty(0, dtype=np.int64)
     for size in (1, max(1, ne // 8)):
-        yield MarkSet(rng.choice(ne, size=size, replace=False), 0.25)
+        yield rng.choice(ne, size=size, replace=False)
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)
@@ -48,18 +47,12 @@ def test_marks_match_reference(name):
     calls = 0
     for mesh in meshes(name, rng):
         for osc2 in osc2_vectors(mesh.nt, rng):
-            report = EstimatorReport(mesh, np.zeros(mesh.ne), osc2)
-            for existing in existing_sets(mesh.ne, rng):
+            for marked in marked_sets(mesh.ne, rng):
                 for theta in (0.0, float(rng.uniform(0.05, 0.95)), 1.0):
-                    if theta == 1.0 and np.any(osc2 % 0.25):
-                        # a full cover of non-dyadic values hinges on the
-                        # rounding of two differently ordered sums
-                        continue
-                    got = osc_mark(report, theta, existing)
-                    want = ref.osc_mark(report, theta, existing, mesh)
-                    assert got.edges.dtype == np.int64
-                    assert got.edges.tolist() == want.edges.tolist()
-                    assert got.achieved == want.achieved
+                    got = osc_mark(mesh, osc2, theta, marked)
+                    want = ref.osc_mark(mesh, osc2, theta, marked)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == want.tolist()
                     calls += 1
     assert calls > 100
 
@@ -72,17 +65,9 @@ def test_marks_match_reference_past_one_block(kind):
     rng = np.random.default_rng(6)
     cont, dyadic = osc2_vectors(mesh.nt, rng)[:2]
     osc2 = cont if kind == "continuous" else dyadic
-    report = EstimatorReport(mesh, np.zeros(mesh.ne), osc2)
     for theta in (0.5, 0.95):
-        got = osc_mark(report, theta)
-        want = ref.osc_mark(report, theta)
-        assert len(want.edges) > 400
-        assert got.edges.tolist() == want.edges.tolist()
+        got = osc_mark(mesh, osc2, theta)
+        want = ref.osc_mark(mesh, osc2, theta)
+        assert len(want) > 400
+        assert got.tolist() == want.tolist()
 
-
-def test_mesh_argument_defaults_to_report_mesh():
-    mesh = uniform_refine(benchmark("lshape_sing").make()[0], 2)
-    osc2 = np.random.default_rng(3).uniform(0.0, 1.0, mesh.nt)
-    report = EstimatorReport(mesh, np.zeros(mesh.ne), osc2)
-    assert (osc_mark(report, 0.6).edges.tolist()
-            == ref.osc_mark(report, 0.6).edges.tolist())
