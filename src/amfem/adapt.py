@@ -33,6 +33,8 @@ __all__ = ["AdaptParams", "HistoryRecord", "ConvergenceHistory",
            "dorfler_mark", "osc_mark", "amfem", "approx", "two_stage",
            "two_stage_settings"]
 
+APPROX_MAX_ITERS = 100     # the iteration cap of ``approx``
+
 HISTORY_COLUMNS = ("k", "stage", "nT", "nE", "eta2", "osc2", "err",
                    "n_marked", "n_bisected", "wall_ms")
 
@@ -55,7 +57,7 @@ class AdaptParams:
             raise ValueError("mu must lie in (0, 1]")
         if not 0.0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be finite and positive")
-        if self.max_iters < 0 or self.max_triangles < 1:
+        if not (self.max_iters >= 0 and self.max_triangles >= 1):
             raise ValueError("bad stopping parameters")
         return self
 
@@ -110,9 +112,15 @@ class ConvergenceHistory:
         self.records.extend(other.records)
         if other.status:
             self.status = other.status
-        for key, vals in other.monitors.items():
-            self.monitors.setdefault(key, []).extend(vals)
         return self
+
+
+def _indicators(values, name):
+    """``values`` as a float array, every value finite and nonnegative."""
+    values = np.asarray(values, dtype=float)
+    if not np.all((values >= 0.0) & (values < np.inf)):    # NaN fails both
+        raise ValueError("%s must be finite and nonnegative" % name)
+    return values
 
 
 def dorfler_mark(eta2, theta: float) -> np.ndarray:
@@ -121,6 +129,7 @@ def dorfler_mark(eta2, theta: float) -> np.ndarray:
     indicator order (ties by ascending edge id)."""
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1], got %r" % theta)
+    eta2 = _indicators(eta2, "eta2")
     total = eta2.sum()
     if total <= 0.0:
         return np.empty(0, dtype=np.int64)
@@ -146,6 +155,7 @@ def osc_mark(mesh: Mesh, osc2, theta_tilde: float,
     small heap of the re-ranked (stale) entries."""
     if not 0.0 <= theta_tilde <= 1.0:
         raise ValueError("theta_tilde must lie in [0, 1]")
+    osc2 = _indicators(osc2, "osc2")
     total = osc2.sum()
     chosen = np.array([] if marked is None else marked, dtype=np.int64)
     # -1 in edge_tri, no triangle, is the last slot of arrays padded by one
@@ -315,8 +325,7 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
             prev = None
         sol = solve_poisson(mesh, problem)
         report = estimate(sol, src)
-        err = (error_sigma(sol, problem.sigma_exact)
-               if problem.sigma_exact is not None else float("nan"))
+        err = error_sigma(sol, problem.sigma_exact)
         eta2 = report.eta2_total
         osc2 = report.osc2_total
         if osc0 is None:
@@ -346,13 +355,15 @@ def amfem(mesh0: Mesh, problem: ProblemSpec, params: AdaptParams,
 
 
 def approx(f, mesh0: Mesh, epsilon: float, theta_osc: float = 0.5,
-           max_iters: int = 100, max_triangles: int = 300000):
+           max_triangles: int = 300000):
     """Greedy data approximation: refine until the total oscillation of f
     drops below epsilon.  Returns (mesh, history)."""
     if not 0.0 <= epsilon < np.inf:
         raise ValueError("epsilon must be finite and nonnegative")
     if not 0.0 < theta_osc <= 1.0:
         raise ValueError("theta_osc must lie in (0, 1]")
+    if not max_triangles >= 1:      # NaN fails
+        raise ValueError("max_triangles must be at least 1")
     src = as_source(f)
     hist = ConvergenceHistory()
     mesh = mesh0
@@ -361,8 +372,8 @@ def approx(f, mesh0: Mesh, epsilon: float, theta_osc: float = 0.5,
         t0 = time.perf_counter()
         osc2_tris = oscillation(src, mesh)
         osc2 = float(osc2_tris.sum())
-        done = _stop(hist, np.sqrt(osc2) <= epsilon, k, mesh, max_iters,
-                     max_triangles)
+        done = _stop(hist, np.sqrt(osc2) <= epsilon, k, mesh,
+                     APPROX_MAX_ITERS, max_triangles)
         marked, bisected = (), ()
         if not done:
             marked = osc_mark(mesh, osc2_tris, theta_osc)
@@ -386,7 +397,7 @@ def two_stage_settings(epsilon: float):
     return {"epsilon": 0.5 * epsilon}, {"epsilon": 0.5 * epsilon}
 
 
-def two_stage(f, mesh0: Mesh, params: AdaptParams, monitors: bool = False):
+def two_stage(f, mesh0: Mesh, params: AdaptParams):
     """Data approximation to params.epsilon/2, then the adaptive loop on
     the projected piecewise-constant data to params.epsilon/2.  Returns
     (mesh, solution, history) with stage-tagged records."""
@@ -396,6 +407,6 @@ def two_stage(f, mesh0: Mesh, params: AdaptParams, monitors: bool = False):
                           **stage1)
     fh = P0Source(mesh_h, src.cell_means(mesh_h))
     mesh, sol, hist2 = amfem(mesh_h, ProblemSpec(f=fh),
-                             replace(params, **stage2), monitors=monitors)
+                             replace(params, **stage2))
     hist.extend(hist2)
     return mesh, sol, hist

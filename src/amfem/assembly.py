@@ -206,9 +206,10 @@ def _elimination_order(mesh):
 
 @dataclass
 class Condensed:
-    """The per-mesh half of ``solve``: the multiplier number of each
-    triangle's local edges (-1 on the boundary) and the LU factor of S,
-    whose rows are in elimination order."""
+    """The per-mesh half of ``solve``: the flux space it was condensed
+    from, the multiplier number of each triangle's local edges (-1 on the
+    boundary) and the LU factor of S, whose rows are in elimination order."""
+    space: RTSpace
     L: np.ndarray
     lu: object
 
@@ -245,7 +246,7 @@ def condense(space: RTSpace) -> Condensed:
             options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError("sparse factorization failed: %s" % exc) from exc
-    return Condensed(L, lu)
+    return Condensed(space, L, lu)
 
 
 def _backward_error(r, scale):
@@ -255,10 +256,11 @@ def _backward_error(r, scale):
     return np.linalg.norm(r) / den if den > 0 else 0.0
 
 
-def recover(cond: Condensed, space: RTSpace, rhs_u) -> MixedSolution:
-    """The per-load half of ``solve`` on the mesh ``cond`` was condensed
-    on: the multipliers of the load ``rhs_u``, (sigma, u) elementwise, and
+def recover(cond: Condensed, rhs_u) -> MixedSolution:
+    """The per-load half of ``solve`` on the space ``cond`` was condensed
+    from: the multipliers of the load ``rhs_u``, (sigma, u) elementwise, and
     the residual and conservation checks against the unreduced blocks."""
+    space = cond.space
     mesh = space.mesh
     E, s, L = mesh.tri_edge, mesh.tri_sign, cond.L
     Q = space.element_blocks()
@@ -308,7 +310,7 @@ def recover(cond: Condensed, space: RTSpace, rhs_u) -> MixedSolution:
 
 
 def solve(space: RTSpace, rhs_u) -> MixedSolution:
-    return recover(condense(space), space, rhs_u)
+    return recover(condense(space), rhs_u)
 
 
 def solve_poisson(mesh: Mesh, problem: ProblemSpec) -> MixedSolution:
@@ -328,7 +330,10 @@ def _quad_norm2_diff(space, a0, c, tau):
 
 def error_sigma(sol: MixedSolution, reference) -> float:
     """L2 flux error against an exact field (vectorized callable returning
-    the two components) or a discrete solution on a nested finer mesh."""
+    the two components) or a discrete solution on a nested finer mesh; NaN
+    when ``reference`` is None, a problem without an exact flux."""
+    if reference is None:
+        return float("nan")
     if isinstance(reference, MixedSolution):
         fine = reference.mesh
         coarse_on_fine = prolongate(sol.sigma, fine)

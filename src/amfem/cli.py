@@ -5,7 +5,7 @@ Subcommands and the options each one reads (every command also takes
 
   solve   --benchmark | --mesh, --refine-uniform, --quad-degree
   adapt   --benchmark, --epsilon, --theta, --theta-tilde, --mu, --max-iters,
-          --max-triangles, --two-stage, --uniform, --quad-degree
+          --max-triangles, --two-stage, --quad-degree
   approx  --benchmark, --epsilon, --theta-osc, --max-triangles, --quad-degree
   check   --suite, --seed
   study   --benchmark, --mode, --levels, --theta, --theta-tilde, --mu,
@@ -41,7 +41,8 @@ import numpy as np
 import scipy
 
 from . import __version__, quadrature
-from .adapt import AdaptParams, amfem, approx, two_stage, two_stage_settings
+from .adapt import (APPROX_MAX_ITERS, AdaptParams, amfem, approx, two_stage,
+                    two_stage_settings)
 from .assembly import (SOLVER, ProblemSpec, SolverError, solve_poisson,
                        error_sigma)
 from .estimator import estimate, report_to_csv
@@ -136,8 +137,6 @@ def _build_parser():
     p.add_argument("--two-stage", type=boolean, nargs="?", const=True,
                    default=False, metavar="BOOL",
                    help="approximate the data first")
-    p.add_argument("--uniform", type=int, default=None, metavar="ROUNDS",
-                   help="uniform refinement study instead of adaptivity")
 
     p = command("approx", "data approximation only")
     p.add_argument("--benchmark", required=True, choices=benchmark_names())
@@ -221,9 +220,8 @@ def _unused_options(args):
     if args.command == "check":
         return [] if any(map(suite_draws, _suites(args))) else ["seed"]
     unused = ["quad_degree"] if opts.get("_exact_load") else []
-    if opts.get("uniform") is not None or opts.get("mode") == "uniform":
-        unused += [name for name in ("two_stage", *asdict(AdaptParams()))
-                   if name in opts]
+    if opts.get("mode") == "uniform":
+        unused += [name for name in asdict(AdaptParams()) if name in opts]
     return sorted(unused)
 
 
@@ -252,8 +250,7 @@ def _emit_solution(out, sol, problem):
     """Estimate and write the final solution; returns its summary."""
     mesh = sol.mesh
     report = estimate(sol, as_source(problem.f))
-    err = (error_sigma(sol, problem.sigma_exact)
-           if problem.sigma_exact is not None else float("nan"))
+    err = error_sigma(sol, problem.sigma_exact)
     _write(out, "mesh.txt", save_mesh(mesh))
     _write(out, "sigma.dof", dof_to_text(sol.sigma))
     _write(out, "u.dof", dof_to_text(sol.u))
@@ -302,36 +299,27 @@ def _cmd_adapt(args):
     mesh0, problem = _make(args)
     params = _params(args, args.epsilon)
     stages = {}
-    if args.uniform is not None:
-        hist = uniform_study(mesh0, problem, args.uniform)
-        status = "uniform"
-        mesh = None
-    elif args.two_stage:
-        mesh, sol, hist = two_stage(problem.f, mesh0, params)
-        status = hist.status
+    if args.two_stage:
+        _, sol, hist = two_stage(problem.f, mesh0, params)
         stage1, stage2 = two_stage_settings(params.epsilon)
         stage1 = {"theta_osc": _default(approx, "theta_osc"),
-                  "max_iters": _default(approx, "max_iters"), **stage1}
+                  "max_iters": APPROX_MAX_ITERS, **stage1}
         for stage, settings in (("stage1", stage1), ("stage2", stage2)):
             stages.update(("%s_%s" % (stage, key), val)
                           for key, val in sorted(settings.items()))
     else:
-        mesh, sol, hist = amfem(mesh0, problem, params)
-        status = hist.status
+        _, sol, hist = amfem(mesh0, problem, params)
     os.makedirs(args.out, exist_ok=True)
     _write(args.out, "history.csv", hist.to_csv())
-    if mesh is not None:
-        summary = _emit_solution(args.out, sol, problem)
-    else:
-        last = hist.records[-1]
-        summary = "nT=%d nE=%d eta2=%s" % (last.nT, last.nE, repr(last.eta2))
-    extra = {"status": status, "iterations": len(hist.records) - 1, **stages}
+    summary = _emit_solution(args.out, sol, problem)
+    extra = {"status": hist.status, "iterations": len(hist.records) - 1,
+             **stages}
     try:
         extra["rate_s"] = "%r" % fit_rate(hist, "eta").s
     except ValueError:
         pass
     _write_meta(args, (time.perf_counter() - t0) * 1e3, extra)
-    print("adapt %s status=%s %s" % (args.benchmark, status, summary))
+    print("adapt %s status=%s %s" % (args.benchmark, hist.status, summary))
     return 0
 
 
@@ -383,14 +371,15 @@ def _cmd_study(args):
     levels = args.levels
     lines = ["level,nT,nE,eta2,osc2,err"]
     if args.mode == "uniform":
-        records = uniform_study(mesh0, problem, levels).records
+        hist = uniform_study(mesh0, problem, levels)
+        records = hist.records
     else:
         # the trajectory does not depend on epsilon: one run to the
         # smallest tolerance holds the stopping record of every level
         sol0 = solve_poisson(mesh0, problem)
         eta0 = np.sqrt(estimate(sol0, as_source(problem.f)).eta2_total)
-        run = amfem(mesh0, problem,
-                    _params(args, eta0 / 2.0 ** levels))[2].records
+        hist = amfem(mesh0, problem, _params(args, eta0 / 2.0 ** levels))[2]
+        run = hist.records
         records = [next((r for r in run if np.sqrt(r.eta2) < eta0 / 2.0 ** j),
                         run[-1]) for j in range(1, levels + 1)]
     for i, r in enumerate(records):
@@ -404,6 +393,7 @@ def _cmd_study(args):
     except ValueError:
         pass
     os.makedirs(args.out, exist_ok=True)
+    _write(args.out, "history.csv", hist.to_csv())
     _write(args.out, "study.csv", "\n".join(lines) + "\n")
     _write_meta(args, (time.perf_counter() - t0) * 1e3, extra)
     print("study %s mode=%s levels=%d%s"

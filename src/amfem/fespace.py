@@ -5,9 +5,8 @@ RTSpace   flux space: per triangle a + c*x, normal component continuous
           flux integral with respect to the global edge normal (the tangent
           a -> b for a < b rotated by -90 degrees).
 
-A field is a ``DofVector`` tagged with its kind: "RT" (one value per edge),
-"P0" (piecewise constants, one value per live triangle in live order) or
-"P1" (continuous piecewise linears, one value per vertex).
+A field is a ``DofVector`` tagged with its kind: "RT" (one value per edge)
+or "P0" (piecewise constants, one value per live triangle in live order).
 
 The local flux basis attached to edge i (opposite vertex P_i) of triangle T
 is s * (x - P_i) / (2|T|), where s = +1 when T lies left of the edge
@@ -65,7 +64,7 @@ class RTSpace:
         return self._Q
 
 
-_KINDS = ("RT", "P0", "P1")
+_KINDS = ("RT", "P0")
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,7 @@ class DofVector:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError("unknown space tag %r" % self.kind)
-        expected = {"RT": self.mesh.ne, "P0": self.mesh.nt,
-                    "P1": self.mesh.nv}[self.kind]
+        expected = {"RT": self.mesh.ne, "P0": self.mesh.nt}[self.kind]
         if self.values.shape != (expected,):
             raise ValueError("expected %d %s coefficients, got %r"
                              % (expected, self.kind, self.values.shape))

@@ -92,15 +92,13 @@ class Mesh:
     """
 
     def __init__(self, points, tri_verts, tri_refedge, tri_gen, tri_parent,
-                 alive, root=None, domain_area=None, _parent=None,
-                 _split=None):
+                 alive, domain_area=None, _parent=None, _split=None):
         self.points = np.asarray(points, dtype=float)
         self.tri_verts = np.asarray(tri_verts, dtype=np.int64).reshape(-1, 3)
         self.tri_refedge = np.asarray(tri_refedge, dtype=np.int64)
         self.tri_gen = np.asarray(tri_gen, dtype=np.int64)
         self.tri_parent = np.asarray(tri_parent, dtype=np.int64)
         self.alive = np.asarray(alive, dtype=bool)
-        self._root = root if root is not None else object()
         finite = np.isfinite(self.points).all(axis=1)
         if not finite.all():
             raise MeshFormatError("vertex %d has a non-finite coordinate"
@@ -449,23 +447,25 @@ def _refine(mesh, marked):
                 np.concatenate([mesh.tri_refedge, r]),
                 np.concatenate([mesh.tri_gen, gen]),
                 np.concatenate([mesh.tri_parent, parent]),
-                alive, root=mesh._root,
-                domain_area=mesh.domain_area, _parent=mesh, _split=marked)
+                alive, domain_area=mesh.domain_area, _parent=mesh,
+                _split=marked)
     return fine, bisected
 
 
 def refine_edges(mesh, marked):
     """Bisect the mesh until every marked edge has been split.
 
-    ``marked`` is an array-like of edge ids, such as the int64 arrays the
-    markers return.  Both triangles of a marked edge's patch get bisected
-    along the way, plus any completion bisections needed for conformity.
-    Returns ``(mesh, bisected)`` where ``bisected`` lists the ids of all
-    triangles actually bisected.
+    ``marked`` is an array-like of integer edge ids (not a mask), such as
+    the int64 arrays the markers return.  Both triangles of a marked edge's
+    patch get bisected along the way, plus any completion bisections needed
+    for conformity.  Returns ``(mesh, bisected)`` where ``bisected`` lists
+    the ids of all triangles actually bisected.
     """
-    edge_ids = np.asarray(marked, dtype=np.int64)
-    if not edge_ids.size:
+    edge_ids = np.asarray(marked)
+    if not edge_ids.size:       # [] reads as float64
         return mesh, np.empty(0, dtype=np.int64)
+    if edge_ids.dtype.kind not in "iu":
+        raise ValueError("edge ids must be integers, got %s" % edge_ids.dtype)
     bad = edge_ids[(edge_ids < 0) | (edge_ids >= mesh.ne)]
     if bad.size:
         raise ValueError("no edge with id %d" % bad[0])
@@ -488,20 +488,23 @@ def uniform_refine(mesh, rounds=1):
     return m
 
 
+def _same_hierarchy(tri_verts, points, mesh):
+    """Whether the rows ``tri_verts`` and vertices ``points`` agree with
+    ``mesh``'s on their common prefix, as a mesh and its refinements do."""
+    n = min(len(tri_verts), len(mesh.tri_verts))
+    nv = min(len(points), mesh.nv)
+    return (np.array_equal(tri_verts[:n], mesh.tri_verts[:n])
+            and np.array_equal(points[:nv], mesh.points[:nv]))
+
+
 def ancestor_map(fine, coarse):
     """For each live triangle of ``fine`` (in live order), the live position
-    in ``coarse`` of the triangle containing it.  Raises NotNestedError when
-    the meshes are not from the same hierarchy with coarse preceding fine."""
-    if fine._root is not coarse._root:
-        raise NotNestedError("meshes come from different initial meshes")
-    n_coarse = len(coarse.tri_verts)
-    if len(fine.tri_verts) < n_coarse:
+    in ``coarse`` of the triangle containing it.  Raises NotNestedError
+    unless the rows and vertices of ``coarse`` are a prefix of ``fine``'s."""
+    if len(fine.tri_verts) < len(coarse.tri_verts):
         raise NotNestedError("reference mesh is finer than the target")
-    # Same root is not enough: two meshes refined independently share id
-    # space but disagree about what the ids mean.  A true ancestor's table
-    # is a prefix of the descendant's.
-    if not np.array_equal(fine.tri_verts[:n_coarse], coarse.tri_verts):
-        raise NotNestedError("meshes were refined along different paths")
+    if not _same_hierarchy(coarse.tri_verts, coarse.points, fine):
+        raise NotNestedError("meshes disagree on the coarse rows or vertices")
     # pointer jumping: coarse live triangles point at themselves, every
     # other row at its parent (-1 past a root); doubling the jumps until
     # nothing changes leaves each row at its coarse ancestor or at -1

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import quadrature
-from .mesh import ancestor_map
+from .mesh import _same_hierarchy, ancestor_map
 
 __all__ = ["FunctionSource", "P0Source", "as_source"]
 
@@ -46,17 +46,9 @@ class FunctionSource:
         self._mean = self._dev2 = np.empty(0)
         self._done = np.empty(0, dtype=bool)
 
-    def _agrees(self, mesh):
-        """Whether ``mesh`` and the rows and vertices seen so far agree on
-        their common prefix."""
-        n = min(len(self._tri_verts), len(mesh.tri_verts))
-        nv = min(len(self._points), mesh.nv)
-        return (np.array_equal(self._tri_verts[:n], mesh.tri_verts[:n])
-                and np.array_equal(self._points[:nv], mesh.points[:nv]))
-
     def _records(self, mesh):
         """Mean and squared deviation of f per live triangle, live order."""
-        if not self._agrees(mesh):
+        if not _same_hierarchy(self._tri_verts, self._points, mesh):
             self._forget()
         grow = len(mesh.tri_verts) - len(self._tri_verts)
         if grow > 0:

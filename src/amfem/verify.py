@@ -190,7 +190,6 @@ def benchmark(name):
 @dataclass(frozen=True)
 class RateFit:
     slope: float
-    residual: float
 
     @property
     def s(self):
@@ -206,19 +205,21 @@ def fit_points(ns, values):
     if len(ns) < 2:
         raise ValueError("rate fit needs at least two usable points")
     A = np.column_stack([np.log(ns), np.ones(len(ns))])
-    coef, res, _, _ = np.linalg.lstsq(A, np.log(values), rcond=None)
-    residual = float(np.sqrt(res[0])) if res.size else 0.0
-    return RateFit(float(coef[0]), residual)
+    coef = np.linalg.lstsq(A, np.log(values), rcond=None)[0]
+    return RateFit(float(coef[0]))
 
 
 _FIELDS = {"err": ("err", False), "eta": ("eta2", True), "osc": ("osc2", True)}
 
 
 def fit_rate(history: ConvergenceHistory, field="err", tail=4):
-    """Rate fit over the last ``tail`` history records; ``field`` is one of
-    err, eta, osc (the squared history columns are square-rooted)."""
+    """Rate fit over the last ``tail`` usable history records, at least 2,
+    or over all of them when ``tail`` is None; ``field`` is one of err,
+    eta, osc (the squared history columns are square-rooted)."""
     if field not in _FIELDS:
         raise ValueError("field must be one of %s" % sorted(_FIELDS))
+    if tail is not None and not tail >= 2:
+        raise ValueError("tail must be at least 2, got %r" % (tail,))
     col, squared = _FIELDS[field]
     ns = history.column("nT").astype(float)
     vals = history.column(col).astype(float)
@@ -226,7 +227,7 @@ def fit_rate(history: ConvergenceHistory, field="err", tail=4):
         vals = np.sqrt(np.maximum(vals, 0.0))
     keep = np.isfinite(vals) & (vals > 0)
     ns, vals = ns[keep], vals[keep]
-    if tail is not None and tail < len(ns):
+    if tail is not None:
         ns, vals = ns[-tail:], vals[-tail:]
     return fit_points(ns, vals)
 
@@ -249,10 +250,9 @@ def uniform_study(mesh0, problem, rounds):
             mesh = uniform_refine(mesh, 1)
         sol = solve_poisson(mesh, problem)
         report = estimate(sol, src)
-        err = (error_sigma(sol, problem.sigma_exact)
-               if problem.sigma_exact is not None else float("nan"))
         hist.add(k=k, stage="uniform", nT=mesh.nt, nE=mesh.ne,
-                 eta2=report.eta2_total, osc2=report.osc2_total, err=err,
+                 eta2=report.eta2_total, osc2=report.osc2_total,
+                 err=error_sigma(sol, problem.sigma_exact),
                  n_marked=0, n_bisected=0,
                  wall_ms=(time.perf_counter() - t0) * 1e3)
     return hist
@@ -297,7 +297,7 @@ def helmholtz_split(space, fields):
     # potential is phi = -u.  Every row's recovery runs the solver's
     # residual and conservation checks, against the space's cached M and B.
     cond = condense(space)
-    sols = [recover(cond, space, B @ v) for v in fields]
+    sols = [recover(cond, B @ v) for v in fields]
     grad = np.array([sol.sigma.values for sol in sols])
     phi = -np.array([sol.u.values for sol in sols])
     # psi = 0 at vertex 0 pins the kernel of the curl, the constants
@@ -307,15 +307,15 @@ def helmholtz_split(space, fields):
     return np.pad(psi.T, ((0, 0), (1, 0))), phi, (C @ psi).T, grad
 
 
-def check_helmholtz(mesh, seed=0, nvec=10):
-    """Dimension identity plus seeded decomposition checks on one mesh."""
+def check_helmholtz(mesh, seed=0):
+    """Dimension identity plus the split of ten seeded fields and a curl."""
     tag = "helmholtz[nv=%d,nt=%d]" % (mesh.nv, mesh.nt)
     out = [CheckResult("%s.dims" % tag,
                        float(mesh.ne - (mesh.nv - 1) - mesh.nt), 0.0,
                        mesh.ne == (mesh.nv - 1) + mesh.nt)]
     rng = np.random.default_rng(seed)
     space = RTSpace(mesh)
-    sigma = rng.standard_normal((nvec, mesh.ne))
+    sigma = rng.standard_normal((10, mesh.ne))
     # a pure rotational field must come back with no gradient part
     curl0 = curl_matrix(mesh) @ rng.standard_normal(mesh.nv)
     _, _, cpart, gpart = helmholtz_split(space, np.vstack([sigma, curl0]))
@@ -326,7 +326,7 @@ def check_helmholtz(mesh, seed=0, nvec=10):
     def norm(a):
         return np.sqrt(np.maximum(inner(a, a), 0.0))
 
-    c, g = cpart[:nvec], gpart[:nvec]
+    c, g = cpart[:-1], gpart[:-1]     # the last row is curl0's
     nc, ng = norm(c), norm(g)
     both = (nc > 0) & (ng > 0)
     rec = norm(c + g - sigma) / norm(sigma)
@@ -334,7 +334,7 @@ def check_helmholtz(mesh, seed=0, nvec=10):
     out.append(_leq("%s.reconstruction" % tag, rec.max(initial=0.0), 1e-10))
     out.append(_leq("%s.orthogonality" % tag, orth.max(initial=0.0), 1e-10))
     out.append(_leq("%s.curl_pure" % tag,
-                    norm(gpart[nvec:])[0] / norm(curl0[None])[0], 1e-10))
+                    norm(gpart[-1:])[0] / norm(curl0[None])[0], 1e-10))
     return out
 
 

@@ -115,8 +115,7 @@ class _Builder:
 
     def finish(self, base):
         return Mesh(self.points, self.tv, self.refedge, self.gen, self.parent,
-                    self.alive, root=base._root,
-                    domain_area=base.domain_area)
+                    self.alive, domain_area=base.domain_area)
 
 
 def bisect_triangle(mesh, t):

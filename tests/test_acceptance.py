@@ -122,7 +122,7 @@ def test_criterion_04_helmholtz():
     meshes = _helmholtz_meshes()
     results = []
     for mesh in meshes:
-        results.extend(check_helmholtz(mesh, seed=0, nvec=10))
+        results.extend(check_helmholtz(mesh, seed=0))
     dt = time.perf_counter() - t0
     dims_ok = all(r.passed for r in results if r.check.endswith(".dims"))
     worst = max(r.value for r in results if not r.check.endswith(".dims"))

@@ -103,6 +103,27 @@ def test_osc_mark_zero_oscillation_marks_nothing():
     assert ms.dtype == np.int64 and len(ms) == 0
 
 
+def test_markers_take_array_likes():
+    eta2 = [9.0, 4.0, 1.0, 1.0, 1.0]
+    assert dorfler_mark(eta2, 0.5).tolist() == [0]
+    assert np.array_equal(dorfler_mark(eta2, 0.5),
+                          dorfler_mark(np.array(eta2), 0.5))
+    m = uniform_refine(unit_square_mesh(), 1)
+    osc2 = np.random.default_rng(3).uniform(0.0, 1.0, m.nt)
+    assert np.array_equal(osc_mark(m, osc2.tolist(), 0.5),
+                          osc_mark(m, osc2, 0.5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -5.0, np.inf, -np.inf])
+def test_markers_reject_a_non_finite_or_negative_indicator(bad):
+    with pytest.raises(ValueError, match="eta2 must be finite and "
+                       "nonnegative"):
+        dorfler_mark(np.array([1.0, bad, 2.0]), 0.5)
+    m = unit_square_mesh()
+    with pytest.raises(ValueError, match="osc2 must be finite"):
+        osc_mark(m, np.full(m.nt, bad), 0.5)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         AdaptParams(epsilon=0.0).validate()
@@ -113,6 +134,16 @@ def test_params_validation():
     with pytest.raises(ValueError):
         AdaptParams(mu=0.0).validate()
     AdaptParams().validate()
+
+
+@pytest.mark.parametrize("cap", ["max_iters", "max_triangles"])
+def test_a_nan_cap_is_rejected(cap):
+    # every comparison with nan is false: a cap of nan would never stop
+    with pytest.raises(ValueError, match="bad stopping parameters"):
+        AdaptParams(**{cap: np.nan}).validate()
+    if cap == "max_triangles":
+        with pytest.raises(ValueError, match="max_triangles must be at least"):
+            approx(smooth_f, unit_square_mesh(), 1e-2, max_triangles=np.nan)
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf])
@@ -423,8 +454,7 @@ def test_approx_evaluates_load_once_per_row(monkeypatch):
 def test_approx_rejects_a_non_finite_load():
     mesh0, _ = benchmark("smooth_square").make()
     with pytest.raises(ValueError, match="not finite .* of triangle 0$"):
-        approx(lambda x, y: np.where(x > 0.9, np.nan, 1.0), mesh0, 1e-3,
-               max_iters=5)
+        approx(lambda x, y: np.where(x > 0.9, np.nan, 1.0), mesh0, 1e-3)
 
 
 def test_amfem_builds_one_mass_matrix_per_mesh(monkeypatch):

@@ -129,6 +129,11 @@ def test_error_sigma_zero_against_self():
     assert error_sigma(sol, sol) < 1e-12
 
 
+def test_error_sigma_without_an_exact_flux_is_nan():
+    sol = solve_poisson(unit_square_mesh(), ProblemSpec(f=smooth_f))
+    assert np.isnan(error_sigma(sol, None))
+
+
 def test_p0_source_solves():
     m0 = unit_square_mesh()
     src = P0Source(m0, np.array([1.0, -1.0]))

@@ -199,22 +199,19 @@ def test_adapt_two_stage_records_the_stage_settings(tmp_path):
     assert not any(key.startswith("stage") for key in meta)
 
 
-def test_adapt_uniform_mode(tmp_path):
-    res = run_cli("adapt", "--benchmark", "smooth_square", "--uniform", "3",
-                  "--out", str(tmp_path))
+@pytest.mark.parametrize("mode,stages", [("uniform", {"uniform"}),
+                                         ("adaptive", {"amfem"})],
+                         ids=["uniform", "adaptive"])
+def test_study_writes_its_driver_history(tmp_path, mode, stages):
+    res = run_cli("study", "--benchmark", "smooth_square", "--mode", mode,
+                  "--levels", "3", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     lines = (tmp_path / "history.csv").read_text().strip().splitlines()
-    assert len(lines) == 5
-    assert "status=uniform" in res.stdout
-
-
-def test_adapt_uniform_records_the_loop_options_as_unused(tmp_path):
-    res = run_cli("adapt", "--benchmark", "smooth_square", "--uniform", "1",
-                  "--two-stage", "--out", str(tmp_path))
-    assert res.returncode == 0, res.stderr
-    assert read_meta(tmp_path)["unused_options"].split(",") == [
-        "epsilon", "max_iters", "max_triangles", "mu", "theta",
-        "theta_tilde", "two_stage"]
+    assert lines[0] == ",".join(HISTORY_COLUMNS)
+    assert {line.split(",")[1] for line in lines[1:]} == stages
+    if mode == "uniform":
+        # one row per round, the initial mesh's included
+        assert len(lines) == 5
 
 
 def test_approx_command(tmp_path):
@@ -421,7 +418,8 @@ def test_bad_config_key_exits_one(tmp_path, command, line):
     ("approx", "--benchmark", "checker_const", "--max-iters", "3"),
     ("study",),
     (),
-    ("adapt", "--benchmark", "smooth_square", "--uniform", "-1"),
+    # the uniform study is study --mode uniform's alone
+    ("adapt", "--benchmark", "smooth_square", "--uniform", "1"),
     ("study", "--benchmark", "smooth_square", "--mode", "uniform",
      "--levels", "-1"),
     ("study", "--benchmark", "smooth_square", "--mode", "uniform",
@@ -450,7 +448,7 @@ def test_usage_errors_exit_one(tmp_path, args):
     (["solve"], "benchmark mesh refine_uniform quad_degree"),
     (["adapt", "--benchmark", "smooth_square"],
      "benchmark epsilon theta theta_tilde mu max_iters max_triangles "
-     "two_stage uniform quad_degree"),
+     "two_stage quad_degree"),
     (["approx", "--benchmark", "smooth_square"],
      "benchmark epsilon theta_osc max_triangles quad_degree"),
     (["check"], "suite seed"),
@@ -459,7 +457,7 @@ def test_usage_errors_exit_one(tmp_path, args):
      "quad_degree"),
 ], ids=["solve", "adapt", "approx", "check", "study"])
 def test_each_command_declares_the_options_it_reads(argv, options):
-    # 40 settable values in all: every command also takes --out and --config
+    # 39 settable values in all: every command also takes --out and --config
     from amfem.cli import _build_parser
     got = set(vars(_build_parser().parse_args(argv))) - {"command"}
     assert got == {"out", "config", *options.split()}
@@ -471,7 +469,7 @@ def test_run_meta_lists_the_options_of_the_command_only(tmp_path):
     assert res.returncode == 0, res.stderr
     meta = read_meta(tmp_path)
     for key in ("theta", "theta_tilde", "mu", "levels", "refine_uniform",
-                "max_iters", "two_stage", "uniform", "suite", "mode"):
+                "max_iters", "two_stage", "suite", "mode"):
         assert key not in meta
     assert meta["theta_osc"] == "0.5" and meta["max_triangles"] == "300000"
     assert meta["epsilon"] == "0.001"

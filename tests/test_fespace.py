@@ -277,14 +277,15 @@ def test_dof_text_rejects_wrong_count():
 
 
 def test_dofvector_shape_validation():
-    # one value per edge, per live triangle and per vertex
+    # one value per edge and per live triangle
     m = uniform_refine(unit_square_mesh())
-    for kind, n in (("RT", m.ne), ("P0", m.nt), ("P1", m.nv)):
+    for kind, n in (("RT", m.ne), ("P0", m.nt)):
         assert DofVector(kind, np.zeros(n), m).values.shape == (n,)
         with pytest.raises(ValueError):
             DofVector(kind, np.zeros(n + 1), m)
-    with pytest.raises(ValueError):
-        DofVector("P9", np.zeros(m.ne), m)
+    for kind, n in (("P9", m.ne), ("P1", m.nv)):
+        with pytest.raises(ValueError, match="unknown space tag"):
+            DofVector(kind, np.zeros(n), m)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -94,10 +94,9 @@ print(json.dumps(seen))
 @pytest.mark.parametrize("args", [
     ["adapt", "--epsilon", "0.5"],
     ["adapt", "--epsilon", "0.5", "--two-stage"],
-    ["adapt", "--uniform", "1"],
     ["study", "--levels", "1"],
     ["study", "--levels", "1", "--mode", "uniform"],
-], ids=["adapt", "two-stage", "adapt-uniform", "study", "study-uniform"])
+], ids=["adapt", "two-stage", "study", "study-uniform"])
 def test_solving_drivers_start_with_scipy_loaded(tmp_path, args):
     """Every driver the command calls finds scipy.sparse.linalg imported,
     so the first factorization, inside the first history row, does not

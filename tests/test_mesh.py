@@ -317,6 +317,25 @@ def test_refine_edges_takes_a_list_or_an_int64_array():
         refine_edges(m, np.array([0, m.ne], dtype=np.int64))
 
 
+@pytest.mark.parametrize("marked", [[1.7], [0.0, 3.0], "ab"],
+                         ids=["fraction", "whole-floats", "text"])
+def test_refine_edges_rejects_non_integer_ids(marked):
+    with pytest.raises(ValueError, match="edge ids must be integers"):
+        refine_edges(unit_square_mesh(), marked)
+
+
+def test_refine_edges_rejects_a_boolean_mask():
+    m = uniform_refine(unit_square_mesh(), 1)
+    mask = np.zeros(m.ne, dtype=bool)
+    mask[[3, 7]] = True
+    with pytest.raises(ValueError, match="edge ids must be integers"):
+        refine_edges(m, mask)
+    # the ids of the mask are what it means
+    same, bisected = refine_edges(m, np.flatnonzero(mask))
+    assert np.array_equal(bisected, refine_edges(m, [3, 7])[1])
+    assert refine_edges(m, [])[0] is m
+
+
 def test_ancestor_map_contains_centroids():
     coarse = lshape_mesh()
     fine = uniform_refine(coarse, 2)
@@ -346,6 +365,13 @@ def test_ancestor_map_rejects_divergent_lineages():
 def test_ancestor_map_rejects_unrelated_roots():
     with pytest.raises(NotNestedError):
         ancestor_map(uniform_refine(unit_square_mesh()), lshape_mesh())
+
+
+def test_two_loads_of_one_file_nest():
+    text = save_mesh(lshape_mesh())
+    coarse, fine = load_mesh(text), uniform_refine(load_mesh(text), 1)
+    assert np.array_equal(ancestor_map(fine, coarse),
+                          np.repeat(np.arange(6), 4))
 
 
 def test_ancestor_map_rejects_swapped_order():

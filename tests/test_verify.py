@@ -111,9 +111,20 @@ def test_fit_rate_recovers_synthetic_slope():
               wall_ms=0.0)
     fit = fit_rate(h, "err")
     assert fit.s == pytest.approx(0.5, abs=1e-12)
-    assert fit.residual < 1e-12
     fit_eta = fit_rate(h, "eta")
     assert fit_eta.s == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("tail", [1, 0, -1])
+def test_fit_rate_rejects_a_tail_below_two(tail):
+    mesh0, prob = benchmark("smooth_square").make()
+    hist = uniform_study(mesh0, prob, 3)
+    with pytest.raises(ValueError, match="tail must be at least 2"):
+        fit_rate(hist, "eta", tail=tail)
+    # None fits every record, a tail fits the last ones
+    ns, eta = hist.column("nT"), np.sqrt(hist.column("eta2"))
+    assert fit_rate(hist, "eta", tail=None) == fit_points(ns, eta)
+    assert fit_rate(hist, "eta", tail=2) == fit_points(ns[-2:], eta[-2:])
 
 
 def test_fit_points_requires_two_points():
@@ -180,15 +191,15 @@ def test_check_helmholtz_factors_the_cr_matrix_once(monkeypatch):
         factored.append(A.shape)
         return splu(A, *args, **kwargs)
 
-    def counting_recover(cond, space, rhs_u):
+    def counting_recover(cond, rhs_u):
         recovered.append(rhs_u)
-        return recover(cond, space, rhs_u)
+        return recover(cond, rhs_u)
 
     monkeypatch.setattr(verify, "rt_mass_matrix", counting_mass)
     monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=counting_splu))
     monkeypatch.setattr(verify, "recover", counting_recover)
     mesh = uniform_refine(unit_square_mesh(), 2)
-    results = check_helmholtz(mesh, nvec=10)
+    results = check_helmholtz(mesh)
     assert all(r.passed for r in results)
     n = int(np.count_nonzero(~mesh.edge_boundary))
     assert len(built) == 1 and len(recovered) == 11
