@@ -25,7 +25,7 @@ import numpy as np
 
 from .assembly import ProblemSpec, error_sigma, solve_poisson
 from .estimator import estimate, oscillation
-from .fespace import prolongate, rt_mass_matrix
+from .fespace import prolongate
 from .mesh import Mesh, ancestor_map, refine_edges
 from .sources import P0Source, as_source
 
@@ -281,9 +281,9 @@ def _transfer_monitors(hist, prev, mesh, src, monitors):
 
 def _upper_ratio(sol, coarse, den):
     """The localized discrete upper bound's ratio |sigma - coarse|_M^2 /
-    den, with the new flux and the mass matrix of ``sol``."""
+    den, with the new flux and the local masses of ``sol``'s space."""
     d = sol.sigma.values - coarse
-    num = float(d @ (rt_mass_matrix(sol.space) @ d))
+    num = float(sol.space.mass_inner(d, d))
     return num / den if den > 0 else float("nan")
 
 

@@ -6,10 +6,9 @@ homogeneous Dirichlet data, so its one load is the cell integrals of f:
     (sigma, tau) - (div tau, u) = 0        for all tau
     (div sigma, v)              = (f, v)   for all v
 
-``assemble`` returns the flux space and that load, rhs_u; the mass matrix
-M and the divergence matrix B of the unreduced system are the space's,
-built when first read.  ``solve`` does not factor the indefinite
-[[M, -B^T], [B, 0]].  It breaks the normal continuity of the flux,
+``assemble`` returns the flux space and that load, rhs_u.  ``solve`` does
+not factor the indefinite [[M, -B^T], [B, 0]] of the flux mass M and the
+divergence B.  It breaks the normal continuity of the flux,
 eliminates each triangle's three local fluxes and its value of u, and is
 left with one multiplier per interior edge.  For RT0-P0 the condensed
 matrix is the Crouzeix-Raviart stiffness matrix, which is symmetric
@@ -26,16 +25,15 @@ vertex i, s = tri_sign, |T| = tri_area and f_T = rhs_u[T]:
 These closed forms are the inverse of the local block [[M_T, -1], [1, 0]],
 so (sigma, u) is the solution of the unreduced system to roundoff.  It is
 checked against the unreduced blocks after every solve: the residual of
-both block rows, and div sigma = (cell mean of f) elementwise.  M and B
-are first built for these checks, after the factorization: the
-factorization sets the memory peak of a run, and it holds only the mesh,
-its element coordinates and Q_T, S and the load.
+both block rows, and div sigma = (cell mean of f) elementwise.  They read
+M_T and the signs s triangle by triangle and sum with numpy, so no BLAS
+thread count moves their bits.  No sparse M or B is built, and M_T is
+first computed after the factorization, which sets the memory peak.
 
 ``solve`` is ``condense`` (per mesh: the multiplier numbering and the LU
 factor of S) followed by ``recover`` (per load: lambda, sigma, u and the
 checks), so several loads on one mesh share one factor.  Both read Q_T
-from the space, which computes it once per mesh and derives the flux mass
-M from it too.
+from the space, which computes it once per mesh and derives M_T from it.
 
 The multipliers are numbered by nested dissection read off the bisection
 genealogy (``_elimination_order``; the bisection tree as a space
@@ -58,8 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .fespace import (DofVector, RTSpace, div_matrix, prolongate, rt_affine,
-                      rt_mass_matrix)
+from .fespace import DofVector, RTSpace, prolongate, rt_affine
 from .mesh import Mesh
 from .sources import as_source
 
@@ -278,19 +275,23 @@ def recover(cond: Condensed, rhs_u) -> MixedSolution:
     u = rhs_u * np.trace(Q, axis1=1, axis2=2) / 144.0 + c.mean(axis=1)
     if not (np.all(np.isfinite(sig)) and np.all(np.isfinite(u))):
         raise SolverError("solver produced non-finite values")
-    M, B = rt_mass_matrix(space), div_matrix(space)
-    absB = abs(B)
-    flux_scale = absB @ np.abs(sig)
-    r1 = M @ sig - B.T @ u
-    r2 = B @ sig - rhs_u
+    # a row of B sums s sigma_T in ascending edge id, as a CSR row does
+    sig_E, Mt = sig[E], space.mass_blocks()
+    r1 = np.bincount(E.ravel(), minlength=mesh.ne, weights=(
+        np.einsum("tij,tj->ti", Mt, sig_E) - s * u[:, None]).ravel())
+    scale1 = np.bincount(E.ravel(), minlength=mesh.ne, weights=(
+        np.einsum("tij,tj->ti", np.abs(Mt), np.abs(sig_E))
+        + np.abs(u)[:, None]).ravel())
+    div = np.take_along_axis(s * sig_E, np.argsort(E, axis=1), axis=1)
+    r2 = div.sum(axis=1) - rhs_u
+    flux_scale = np.abs(div).sum(axis=1)
     # the first block row has no load, so its residual is relative to 1
     res_sigma = np.linalg.norm(r1)
     res_u = np.linalg.norm(r2) / (1.0 + np.linalg.norm(rhs_u))
     # the same rows relative to the magnitudes summed in them (Oettli &
     # Prager, Numer. Math. 6, 1964), which, unlike the residuals above,
     # do not pass a wrong flux below unit data
-    back_sigma = _backward_error(r1, abs(M) @ np.abs(sig)
-                                 + absB.T @ np.abs(u))
+    back_sigma = _backward_error(r1, scale1)
     back_u = _backward_error(r2, flux_scale + np.abs(rhs_u))
     if max(res_sigma, res_u, back_sigma, back_u) > 1e-10:
         raise SolverError("solve residual too large: %.3e / %.3e (backward "
@@ -335,10 +336,8 @@ def error_sigma(sol: MixedSolution, reference) -> float:
     if reference is None:
         return float("nan")
     if isinstance(reference, MixedSolution):
-        fine = reference.mesh
-        coarse_on_fine = prolongate(sol.sigma, fine)
-        d = reference.sigma.values - coarse_on_fine.values
-        M = rt_mass_matrix(reference.space)
-        return float(np.sqrt(max(d @ (M @ d), 0.0)))
+        d = (reference.sigma.values
+             - prolongate(sol.sigma, reference.mesh).values)
+        return float(np.sqrt(max(reference.space.mass_inner(d, d), 0.0)))
     a0, c = sol.affine()
     return float(np.sqrt(_quad_norm2_diff(sol.space, a0, c, reference).sum()))

@@ -13,12 +13,12 @@ is s * (x - P_i) / (2|T|), where s = +1 when T lies left of the edge
 tangent; its flux through its own edge is 1 and through the other two edges
 is identically zero, so the divergence matrix has entries +-1.
 
-The operators of the complex P1 -> RT0 -> P0 are sparse matrices, one
-implementation each: ``curl_matrix``, ``div_matrix`` and the flux mass
-``rt_mass_matrix``, which reads the one element kernel
-``RTSpace.element_blocks`` that the hybridized solve in ``assembly`` reads
-too.  Each imports scipy.sparse when it is called, so importing this module
-loads none of it.  The P0 projection of f is ``cell_means``.
+The flux mass is per triangle: ``RTSpace.mass_blocks`` derives the local
+masses M_T from the element kernel ``RTSpace.element_blocks`` that the
+solve reads, and ``RTSpace.mass_inner`` is the flux inner product.  The
+sparse ``curl_matrix``, ``div_matrix`` and ``rt_mass_matrix`` (the scatter
+of M_T) serve the checks, not the solve, and import scipy.sparse when
+called.  The P0 projection of f is ``cell_means``.
 """
 from __future__ import annotations
 
@@ -35,17 +35,14 @@ __all__ = ["RTSpace", "DofVector", "interpolate_rt", "prolongate",
 
 
 class RTSpace:
-    """The flux space of one mesh, and the per-mesh data its operators
-    share, each computed the first time it is asked: the element
-    coordinates, the blocks Q_T, the mass matrix and the divergence
-    matrix."""
+    """The flux space of one mesh and its per-triangle arrays, each
+    computed when first asked: the element coordinates, Q_T and M_T."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self._P = None
         self._Q = None
-        self._mass = None
-        self._div = None
+        self._M = None
 
     def opp_coords(self):
         """(nl, 3, 2) coordinates of the vertex opposite each local edge."""
@@ -62,6 +59,32 @@ class RTSpace:
             self._Q = (np.einsum("tia,tja->tij", e, e)
                        / self.mesh.tri_area[:, None, None])
         return self._Q
+
+    def mass_blocks(self):
+        """(nl, 3, 3) local flux masses M_T[i, j] = integral over T of
+        phi_i . phi_j in the global edge orientation, in closed form
+        (Bahriawati & Carstensen, CMAM 5, 2005) as an image of Q_T: the
+        vertex offsets from the centroid are d = A e, with
+        d_i = (e_{i+1} - e_{i+2}) / 3, so M_T = s s^T o (G + tr G / 12) / 4
+        for G = A Q_T A^T, the Gram matrix of d over |T|."""
+        if self._M is None:
+            A = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]]) / 3.0
+            G = np.einsum("ia,tab,jb->tij", A, self.element_blocks(), A,
+                          optimize=True)
+            G += np.trace(G, axis1=1, axis2=2)[:, None, None] / 12.0
+            s = self.mesh.tri_sign
+            self._M = G * (s[:, :, None] * s[:, None, :] / 4.0)
+        return self._M
+
+    def mass_inner(self, a, b):
+        """The flux inner product (a, b)_M, or row by row of two (k, ne)
+        stacks: a_T . M_T b_T per triangle, elementwise, then numpy's sum of
+        each contiguous row, which no BLAS thread splits and which sums a
+        stacked row as it sums it alone."""
+        M, E = self.mass_blocks(), self.mesh.tri_edge
+        Mb = sum(M[:, :, j] * b[..., E[:, j], None] for j in range(3))
+        per_tri = sum(a[..., E[:, i]] * Mb[..., i] for i in range(3))
+        return np.ascontiguousarray(per_tri).sum(axis=-1)
 
 
 _KINDS = ("RT", "P0")
@@ -170,42 +193,25 @@ def prolongate(dof: DofVector, fine: Mesh) -> DofVector:
 # -- matrices ---------------------------------------------------------------
 
 def rt_mass_matrix(space: RTSpace):
-    """Sparse flux mass matrix M_ij = integral of phi_i . phi_j, from the
-    closed-form local mass (Bahriawati & Carstensen, CMAM 5, 2005) as an
-    image of Q_T: the vertex offsets from the centroid are d = A e, with
-    d_i = (e_{i+1} - e_{i+2}) / 3, so M_T = s s^T o (G + tr G / 12) / 4
-    for G = A Q_T A^T, the Gram matrix of d over |T|."""
-    if space._mass is not None:
-        return space._mass
+    """Sparse flux mass matrix M_ij = integral of phi_i . phi_j, the
+    scatter of ``RTSpace.mass_blocks``."""
     import scipy.sparse as sp
     m = space.mesh
-    A = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]]) / 3.0
-    G = np.einsum("ia,tab,jb->tij", A, space.element_blocks(), A,
-                  optimize=True)
-    G += np.trace(G, axis1=1, axis2=2)[:, None, None] / 12.0
-    s = m.tri_sign.astype(float)
-    loc = G * (s[:, :, None] * s[:, None, :] / 4.0)
     rows = np.repeat(m.tri_edge, 3, axis=1).ravel()
     cols = np.tile(m.tri_edge, (1, 3)).ravel()
-    M = sp.coo_matrix((loc.ravel(), (rows, cols)),
-                      shape=(m.ne, m.ne)).tocsr()
-    space._mass = M
-    return M
+    return sp.coo_matrix((space.mass_blocks().ravel(), (rows, cols)),
+                         shape=(m.ne, m.ne)).tocsr()
 
 
 def div_matrix(space: RTSpace):
     """Sparse matrix B with (B sigma)_T = integral of div sigma over T;
     entries are +-1, three per row."""
-    if space._div is not None:
-        return space._div
     import scipy.sparse as sp
     m = space.mesh
     rows = np.repeat(np.arange(m.nt), 3)
     cols = m.tri_edge.ravel()
     vals = m.tri_sign.ravel().astype(float)
-    space._div = sp.coo_matrix((vals, (rows, cols)),
-                               shape=(m.nt, m.ne)).tocsr()
-    return space._div
+    return sp.coo_matrix((vals, (rows, cols)), shape=(m.nt, m.ne)).tocsr()
 
 
 def curl_matrix(mesh: Mesh):

@@ -105,7 +105,15 @@ class Mesh:
                                   % int(np.argmin(finite)))
         if _parent is None:
             _parent, _split = _NO_PARENT, np.zeros(0, dtype=bool)
-        self._build_tables(_parent, _split)
+        # finite coordinates far apart overflow the geometry; that is
+        # reported below, naming the triangle, and not as a RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._build_tables(_parent, _split)
+        finite = np.isfinite(self.tri_area) & np.isfinite(self.tri_h)
+        if not finite.all():
+            raise MeshFormatError(
+                "triangle %d has a non-finite area or edge length"
+                % self.live[np.argmin(finite)])
         area = float(self.tri_area.sum())
         if domain_area is None:
             domain_area = area
@@ -280,6 +288,7 @@ def _label_longest_edge(points, tv):
     return np.argmin(key, axis=1).astype(np.int64)
 
 
+@np.errstate(over="ignore", invalid="ignore")     # Mesh names the triangle
 def load_mesh(text):
     """Parse the mesh text format; raises MeshFormatError with line numbers."""
     rows = []

@@ -291,11 +291,10 @@ def helmholtz_split(space, fields):
     One mass matrix, one curl matrix, one Crouzeix-Raviart factorization
     and one P1 factorization serve all rows."""
     mesh = space.mesh
-    M = rt_mass_matrix(space)
-    B = div_matrix(space)
+    M, B = rt_mass_matrix(space), div_matrix(space)
     # the gradient part is the mixed solution with load div sigma; its
     # potential is phi = -u.  Every row's recovery runs the solver's
-    # residual and conservation checks, against the space's cached M and B.
+    # residual and conservation checks, against the space's local masses.
     cond = condense(space)
     sols = [recover(cond, B @ v) for v in fields]
     grad = np.array([sol.sigma.values for sol in sols])
@@ -320,17 +319,14 @@ def check_helmholtz(mesh, seed=0):
     curl0 = curl_matrix(mesh) @ rng.standard_normal(mesh.nv)
     _, _, cpart, gpart = helmholtz_split(space, np.vstack([sigma, curl0]))
 
-    def inner(a, b):
-        return np.einsum("ke,ke->k", a, (rt_mass_matrix(space) @ b.T).T)
-
     def norm(a):
-        return np.sqrt(np.maximum(inner(a, a), 0.0))
+        return np.sqrt(np.maximum(space.mass_inner(a, a), 0.0))
 
     c, g = cpart[:-1], gpart[:-1]     # the last row is curl0's
     nc, ng = norm(c), norm(g)
     both = (nc > 0) & (ng > 0)
     rec = norm(c + g - sigma) / norm(sigma)
-    orth = np.abs(inner(c, g))[both] / (nc * ng)[both]
+    orth = np.abs(space.mass_inner(c, g))[both] / (nc * ng)[both]
     out.append(_leq("%s.reconstruction" % tag, rec.max(initial=0.0), 1e-10))
     out.append(_leq("%s.orthogonality" % tag, orth.max(initial=0.0), 1e-10))
     out.append(_leq("%s.curl_pure" % tag,
@@ -399,7 +395,7 @@ def check_stability():
     s1 = solve_poisson(mesh_h, problem)
     s2 = solve_poisson(mesh_h, ProblemSpec(f=f_H))
     d = s1.sigma.values - s2.sigma.values
-    shift = np.sqrt(d @ (rt_mass_matrix(s1.space) @ d))
+    shift = np.sqrt(s1.space.mass_inner(d, d))
     osc = np.sqrt(_coarse_osc2(src, mesh_h, mesh_H))
     return [_leq("identities.stability_ratio", shift / osc, 10.0)]
 
@@ -418,9 +414,8 @@ def check_quasiorth():
     on_r = prolongate(sh.sigma, mesh_r).values
     a = sr.sigma.values - on_r
     b = on_r - prolongate(sH.sigma, mesh_r).values
-    M = rt_mass_matrix(sr.space)
-    inner = abs(float(a @ (M @ b)))
-    na = np.sqrt(float(a @ (M @ a)))
+    inner = abs(float(sr.space.mass_inner(a, b)))
+    na = np.sqrt(float(sr.space.mass_inner(a, a)))
     osc = np.sqrt(float((mesh_H.tri_h ** 2 * src.cell_osc2(mesh_H)).sum()))
     return [_leq("identities.quasiorth_ratio", inner / (na * osc), 10.0)]
 

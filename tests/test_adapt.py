@@ -265,26 +265,36 @@ def test_approx_ladder_matches_golden():
     assert got == want
 
 
-def test_monitored_amfem_matches_golden():
-    """Every history column but wall_ms, and the three monitors, of one
-    monitored ``amfem`` run, to the last bit, against a recorded run.  A
-    row's monitors compare its mesh with the previous row's."""
-    path = os.path.join(os.path.dirname(__file__), "golden",
-                        "amfem_lshape_0.1.csv")
-    with open(path) as fh:
-        want = fh.read().splitlines()
+GOLDEN_AMFEM = os.path.join(os.path.dirname(__file__), "golden",
+                            "amfem_lshape_0.1.csv")
+
+
+def monitored_amfem_rows():
+    """The status and the rows, as recorded in ``GOLDEN_AMFEM``, of one
+    monitored ``amfem`` run on ``lshape_sing`` (epsilon 0.1, theta 0.3):
+    every history column but wall_ms, and the three monitors, which compare
+    a row's mesh with the previous row's."""
     mesh0, prob = benchmark("lshape_sing").make()
     _, _, hist = amfem(mesh0, prob, AdaptParams(epsilon=0.1, theta=0.3),
                        monitors=True)
     names = ("upper_ratio", "n_gone", "n_patch")
-    got = [want[0]]
+    rows = ["k,stage,nT,nE,eta2,osc2,err,n_marked,n_bisected,"
+            + ",".join(names)]
     for i, r in enumerate(hist.records):
-        got.append(",".join(
+        rows.append(",".join(
             ["%d" % r.k, r.stage, "%d" % r.nT, "%d" % r.nE,
              repr(float(r.eta2)), repr(float(r.osc2)), repr(float(r.err)),
              "%d" % r.n_marked, "%d" % r.n_bisected]
             + [repr(hist.monitors[m][i - 1]) if i else "" for m in names]))
-    assert hist.status == "tol"
+    return hist.status, rows
+
+
+def test_monitored_amfem_matches_golden():
+    """A monitored ``amfem`` run to the last bit, against a recorded run."""
+    with open(GOLDEN_AMFEM) as fh:
+        want = fh.read().splitlines()
+    status, got = monitored_amfem_rows()
+    assert status == "tol"
     assert got == want
 
 
@@ -457,29 +467,56 @@ def test_approx_rejects_a_non_finite_load():
         approx(lambda x, y: np.where(x > 0.9, np.nan, 1.0), mesh0, 1e-3)
 
 
-def test_amfem_builds_one_mass_matrix_per_mesh(monkeypatch):
-    from amfem import adapt, assembly, fespace
+def test_amfem_builds_one_mass_per_mesh(monkeypatch):
+    """The local masses M_T are computed once per mesh: the solve's checks
+    compute them, and the upper_ratio monitor reads them from the same
+    space."""
+    from amfem import fespace
     built = []
-    real = fespace.rt_mass_matrix
+    real = fespace.RTSpace.mass_blocks
 
     def counting(space):
-        if space._mass is None:
+        if space._M is None:
             built.append(space.mesh.nt)
         return real(space)
 
-    for module in (adapt, assembly):
-        monkeypatch.setattr(module, "rt_mass_matrix", counting)
+    monkeypatch.setattr(fespace.RTSpace, "mass_blocks", counting)
     mesh0, prob = benchmark("lshape_sing").make()
     _, _, hist = amfem(mesh0, prob, AdaptParams(epsilon=0.3), monitors=True)
     assert built == list(hist.column("nT"))
 
 
+@pytest.mark.parametrize("driver", ["amfem", "uniform_study", "pythagoras"])
+def test_solve_and_monitor_path_builds_no_sparse_matrix(monkeypatch, driver):
+    """A monitored ``amfem`` run, ``uniform_study`` and the flux error
+    against a finer solution (the Pythagoras check) read the element
+    blocks only: none builds the sparse M or B."""
+    from amfem import adapt, assembly, fespace, verify
+
+    def forbidden(space):
+        raise AssertionError("sparse matrix built on the solve path")
+
+    for module in (adapt, assembly, fespace, verify):
+        for name in ("rt_mass_matrix", "div_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    mesh0, prob = benchmark("lshape_sing").make()
+    if driver == "amfem":
+        _, _, hist = amfem(mesh0, prob, AdaptParams(epsilon=0.3),
+                           monitors=True)
+        assert len(hist.records) > 2
+    elif driver == "uniform_study":
+        assert len(verify.uniform_study(mesh0, prob, 3).records) == 4
+    else:
+        assert verify.check_pythagoras()[0].passed
+
+
 @pytest.mark.parametrize("driver", ["amfem", "uniform_study"])
 def test_only_the_factored_mesh_is_alive_at_each_factor(monkeypatch, driver):
     """When SuperLU factors S, every mesh the run made before the one being
-    factored is gone, and nothing the checks after the factor read is built
-    yet: the space has no mass matrix, and no space holds a divergence
-    matrix.  The caller's initial mesh is the caller's to keep."""
+    factored is gone, and nothing the checks after the factor read exists
+    yet: no space holds local masses.  The caller's initial mesh is the
+    caller's to keep."""
     from amfem import assembly, mesh, verify
     mesh0, prob = benchmark("lshape_sing").make()
     made, spaces, factored = [], [], []
@@ -498,8 +535,7 @@ def test_only_the_factored_mesh_is_alive_at_each_factor(monkeypatch, driver):
         space = spaces[-1]()
         alive = [m() for m in made]
         assert all(m is None or m is space.mesh for m in alive)
-        assert space._mass is None
-        assert all(s() is None or s()._div is None for s in spaces)
+        assert all(s() is None or s()._M is None for s in spaces)
         factored.append(space.mesh.nt)
         return splu(*args, **kwargs)
 

@@ -113,6 +113,16 @@ def test_exit_one_on_non_finite_mesh(tmp_path):
     assert "line 4: non-finite coordinate" in res.stderr
 
 
+def test_exit_one_on_mesh_with_non_finite_geometry(tmp_path):
+    from test_mesh import HUGE_SQUARE
+    bad = tmp_path / "huge.txt"
+    bad.write_text(HUGE_SQUARE)
+    res = run_cli("solve", "--mesh", str(bad), "--out", str(tmp_path))
+    assert res.returncode == 1
+    assert "triangle 0 has a non-finite area or edge length" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+
+
 def test_exit_one_on_bad_config(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("theta 0.5\n")          # missing equals sign

@@ -278,6 +278,24 @@ def test_load_rejects_non_finite_coordinate(coord):
         load_mesh(text)
 
 
+HUGE_SQUARE = ("amfemmesh 1\n4 2\n0 0\n1e300 0\n1e300 1e300\n0 1e300\n"
+               "0 1 2 -\n0 2 3 -\n")
+
+
+@pytest.mark.parametrize("text, bad", [
+    (HUGE_SQUARE, 0),
+    ("amfemmesh 1\n4 2\n0 0\n1 0\n0 1\n1.7e308 1.7e308\n"
+     "0 1 2 -\n1 3 2 -\n", 1),
+], ids=["area", "edge_length"])
+def test_load_rejects_non_finite_geometry(text, bad):
+    """Finite coordinates whose area or edge length overflows are refused
+    with the triangle named; a RuntimeWarning would fail this test, since
+    the suite turns warnings into errors."""
+    with pytest.raises(MeshFormatError, match="^triangle %d has a non-finite "
+                       "area or edge length$" % bad):
+        load_mesh(text)
+
+
 def test_mesh_rejects_non_finite_point():
     m = ref_tri_mesh()
     points = m.points.copy()

@@ -173,9 +173,9 @@ def test_check_helmholtz_clean_on_square():
 
 
 def test_check_helmholtz_factors_the_cr_matrix_once(monkeypatch):
-    """One mass matrix, one Crouzeix-Raviart and one P1 factorization per
-    call, both through ``assembly.spla``, and one recovery, with its
-    residual and conservation checks, per field."""
+    """One sparse mass matrix, for the P1 matrix, one Crouzeix-Raviart and
+    one P1 factorization per call, both through ``assembly.spla``, and one
+    recovery, with its residual and conservation checks, per field."""
     from types import SimpleNamespace
     from amfem import assembly, verify
     built, factored, recovered = [], [], []
@@ -183,8 +183,7 @@ def test_check_helmholtz_factors_the_cr_matrix_once(monkeypatch):
                            verify.recover)
 
     def counting_mass(space):
-        if space._mass is None:
-            built.append(space.mesh.nt)
+        built.append(space.mesh.nt)
         return mass(space)
 
     def counting_splu(A, *args, **kwargs):
