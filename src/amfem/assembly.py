@@ -30,19 +30,27 @@ M_T and the signs s triangle by triangle and sum with numpy, so no BLAS
 thread count moves their bits.  No sparse M or B is built, and M_T is
 first computed after the factorization, which sets the memory peak.
 
-``solve`` is ``condense`` (per mesh: the multiplier numbering and the LU
+``solve`` is ``condense`` (per mesh: the multiplier numbering and the
 factor of S) followed by ``recover`` (per load: lambda, sigma, u and the
 checks), so several loads on one mesh share one factor.  Both read Q_T
 from the space, which computes it once per mesh and derives M_T from it.
 
 The multipliers are numbered by nested dissection read off the bisection
 genealogy (``_elimination_order``; the bisection tree as a space
-decomposition: Chen, Nochetto & Xu, Numer. Math. 120, 2012).  S is
-assembled in that order and factored by SuperLU with the natural column
-order, symmetric mode and diagonal pivots.
+decomposition: Chen, Nochetto & Xu, Numer. Math. 120, 2012).  In that
+order the edge between two live siblings comes before all of its
+neighbours.  The multipliers whose row of S has no entry left of the
+diagonal (the leading independent set: on a genealogy mesh exactly those
+sibling edges, about a third of the multipliers) share no triangle, so S
+restricted to them is a diagonal D, and numpy eliminates them exactly:
+with C the block coupling the kept multipliers to them, SuperLU factors
+only the Schur complement S' = S_kk - C D^-1 C^T, kept rows in their
+order, with the natural column order, symmetric mode and diagonal
+pivots.  The full S is never built.  A solve is a forward step on D,
+SuperLU on S' and a back step on D (``Condensed.solve``).
 
 Importing this module loads no scipy.sparse.  ``_multiplier_system``
-imports scipy.sparse when it builds S, and the module attribute ``spla``
+imports scipy.sparse when it builds S', and the module attribute ``spla``
 (scipy.sparse.linalg, whose ``splu`` ``condense`` calls) is imported on its
 first read and then kept as a module global.  ``condense`` reads it as a
 module attribute, so a caller that sets ``assembly.spla`` replaces the
@@ -67,7 +75,8 @@ __all__ = ["ProblemSpec", "MixedSolution", "SolverError",
 CONSERVATION_TOL = 1e-10
 # what ``solve`` factors, as recorded in run.meta
 SOLVER = ("hybridized-crouzeix-raviart-interior-edges/"
-          "bisection-tree-nested-dissection/superlu-symmetric-natural")
+          "bisection-tree-nested-dissection/"
+          "leading-independent-set-elimination/superlu-symmetric-natural")
 
 
 def __getattr__(name):
@@ -101,8 +110,8 @@ class MixedSolution:
     residual_sigma: float
     residual_u: float
     conservation_defect: float
-    n_multipliers: int      # size of the factored system S
-    factor_nnz: int         # nonzeros SuperLU stores for L and U
+    n_multipliers: int      # size of S, the eliminated multipliers too
+    factor_nnz: int         # values stored by Condensed: LU of S', C, d
     _affine: tuple = field(default=None, repr=False)
 
     @property
@@ -205,17 +214,48 @@ def _elimination_order(mesh):
 class Condensed:
     """The per-mesh half of ``solve``: the flux space it was condensed
     from, the multiplier number of each triangle's local edges (-1 on the
-    boundary) and the LU factor of S, whose rows are in elimination order."""
+    boundary) and the factor of S, whose rows are in elimination order.
+    The multipliers flagged in ``elim`` share no triangle, so S restricted
+    to them is the diagonal ``d``; with C = S[~elim, elim] the coupling
+    block, ``lu`` is the LU factor of the Schur complement
+    S' = S[~elim, ~elim] - C D^-1 C^T.  The argsort of each triangle's edge
+    ids and |M_T|, which only the checks read, are made on the first
+    ``recover`` and kept for the next."""
     space: RTSpace
     L: np.ndarray
+    elim: np.ndarray
+    d: np.ndarray
+    C: object
     lu: object
+    _by_edge: np.ndarray = field(default=None, repr=False)
+    _abs_mass: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def nnz(self):
+        """The values the factor stores: SuperLU's, C's and d's."""
+        return self.lu.nnz + self.C.nnz + self.d.size
+
+    def solve(self, b):
+        """S^-1 b in three steps: the eliminated multipliers' forward step
+        y = b_l / d, SuperLU on b_k - C y, and their back step
+        (b_l - C^T x_k) / d."""
+        elim, keep = self.elim, ~self.elim
+        b_l = b[elim]
+        x_k = self.lu.solve(b[keep] - self.C @ (b_l / self.d))
+        x = np.empty_like(b)
+        x[keep] = x_k
+        x[elim] = (b_l - self.C.T @ x_k) / self.d
+        return x
 
 
 def _multiplier_system(space: RTSpace):
     """The multiplier number of each triangle's local edges, in
-    nested-dissection order, and S in that numbering.  The numbering's
-    tables and the COO triplets of S die with this call, so that only S is
-    alive when SuperLU factors it."""
+    nested-dissection order, and S in that numbering, reduced by its
+    leading independent set: the multipliers whose row of S has no entry
+    left of the diagonal, which therefore share no triangle.  Returns
+    (L, elim, d, C, S') as ``Condensed`` holds them.  The full S is never
+    built, and the numbering's tables and the COO triplets die with this
+    call, so that only S', C and d are alive when SuperLU factors S'."""
     import scipy.sparse as sp
     mesh = space.mesh
     Q = space.element_blocks()
@@ -228,13 +268,31 @@ def _multiplier_system(space: RTSpace):
     keep = inner[:, :, None] & inner[:, None, :]
     rows = np.broadcast_to(L[:, :, None], Q.shape)[keep]
     cols = np.broadcast_to(L[:, None, :], Q.shape)[keep]
-    return L, sp.coo_matrix((Q[keep], (rows, cols)), shape=(n, n)).tocsc()
+    vals = Q[keep]
+    # a row with an entry left of its diagonal stays (structurally, so a
+    # coupling that sums to zero still counts)
+    elim = np.ones(n, dtype=bool)
+    elim[rows[cols < rows]] = False
+    nl = np.count_nonzero(elim)
+    sub = np.empty(n, dtype=np.int64)
+    sub[elim] = np.arange(nl)
+    sub[~elim] = np.arange(n - nl)
+    er, ec = elim[rows], elim[cols]
+    # both eliminated: a diagonal entry, from each of the edge's triangles
+    d = np.bincount(sub[rows[er & ec]], weights=vals[er & ec], minlength=nl)
+    kl, kk = ~er & ec, ~er & ~ec
+    C = sp.csr_matrix((vals[kl], (sub[rows[kl]], sub[cols[kl]])),
+                      shape=(n - nl, nl))
+    A = sp.csr_matrix((vals[kk], (sub[rows[kk]], sub[cols[kk]])),
+                      shape=(n - nl, n - nl))
+    return L, elim, d, C, (A - C @ sp.diags(1.0 / d) @ C.T).tocsc()
 
 
 def condense(space: RTSpace) -> Condensed:
     """Condense onto the interior-edge multipliers, number them by nested
-    dissection and factor S in that order."""
-    L, S = _multiplier_system(space)
+    dissection, eliminate the leading independent set and factor the
+    Schur complement in that order."""
+    L, elim, d, C, S = _multiplier_system(space)
     try:
         # through the module attribute: a bare global read would not reach
         # the module's __getattr__ before the first one binds ``spla``
@@ -243,14 +301,19 @@ def condense(space: RTSpace) -> Condensed:
             options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError("sparse factorization failed: %s" % exc) from exc
-    return Condensed(space, L, lu)
+    return Condensed(space, L, elim, d, C, lu)
+
+
+def _norm(x):
+    """The 2-norm by numpy's pairwise sum, which no BLAS thread splits."""
+    return np.sqrt(np.square(x).sum())
 
 
 def _backward_error(r, scale):
     """The componentwise backward error ||r|| / ||scale|| of a block row;
     a zero scale leaves a zero residual (zero load, zero solution)."""
-    den = np.linalg.norm(scale)
-    return np.linalg.norm(r) / den if den > 0 else 0.0
+    den = _norm(scale)
+    return _norm(r) / den if den > 0 else 0.0
 
 
 def recover(cond: Condensed, rhs_u) -> MixedSolution:
@@ -263,8 +326,8 @@ def recover(cond: Condensed, rhs_u) -> MixedSolution:
     Q = space.element_blocks()
     f3 = np.broadcast_to(rhs_u[:, None] / 3.0, L.shape)
     inner = L >= 0
-    n = cond.lu.shape[0]
-    lam = cond.lu.solve(np.bincount(L[inner], weights=f3[inner], minlength=n))
+    n = cond.elim.size
+    lam = cond.solve(np.bincount(L[inner], weights=f3[inner], minlength=n))
     # local recovery; each edge takes its flux from one triangle: the left
     # one of an interior edge, the only one of a boundary edge
     c = np.append(lam, 0.0)[L]              # index -1 reads the appended 0
@@ -275,19 +338,23 @@ def recover(cond: Condensed, rhs_u) -> MixedSolution:
     u = rhs_u * np.trace(Q, axis1=1, axis2=2) / 144.0 + c.mean(axis=1)
     if not (np.all(np.isfinite(sig)) and np.all(np.isfinite(u))):
         raise SolverError("solver produced non-finite values")
+    if cond._by_edge is None:
+        cond._by_edge = np.argsort(E, axis=1)
+        cond._abs_mass = np.abs(space.mass_blocks())
     # a row of B sums s sigma_T in ascending edge id, as a CSR row does
-    sig_E, Mt = sig[E], space.mass_blocks()
+    sig_E = sig[E]
     r1 = np.bincount(E.ravel(), minlength=mesh.ne, weights=(
-        np.einsum("tij,tj->ti", Mt, sig_E) - s * u[:, None]).ravel())
+        np.einsum("tij,tj->ti", space.mass_blocks(), sig_E)
+        - s * u[:, None]).ravel())
     scale1 = np.bincount(E.ravel(), minlength=mesh.ne, weights=(
-        np.einsum("tij,tj->ti", np.abs(Mt), np.abs(sig_E))
+        np.einsum("tij,tj->ti", cond._abs_mass, np.abs(sig_E))
         + np.abs(u)[:, None]).ravel())
-    div = np.take_along_axis(s * sig_E, np.argsort(E, axis=1), axis=1)
+    div = np.take_along_axis(s * sig_E, cond._by_edge, axis=1)
     r2 = div.sum(axis=1) - rhs_u
     flux_scale = np.abs(div).sum(axis=1)
     # the first block row has no load, so its residual is relative to 1
-    res_sigma = np.linalg.norm(r1)
-    res_u = np.linalg.norm(r2) / (1.0 + np.linalg.norm(rhs_u))
+    res_sigma = _norm(r1)
+    res_u = _norm(r2) / (1.0 + _norm(rhs_u))
     # the same rows relative to the magnitudes summed in them (Oettli &
     # Prager, Numer. Math. 6, 1964), which, unlike the residuals above,
     # do not pass a wrong flux below unit data
@@ -307,7 +374,7 @@ def recover(cond: Condensed, rhs_u) -> MixedSolution:
                           % (defect, CONSERVATION_TOL))
     return MixedSolution(DofVector("RT", sig, mesh), DofVector("P0", u, mesh),
                          space, float(res_sigma), float(res_u), float(defect),
-                         n, cond.lu.nnz)
+                         n, cond.nnz)
 
 
 def solve(space: RTSpace, rhs_u) -> MixedSolution:

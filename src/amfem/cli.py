@@ -16,8 +16,9 @@ variable).  Every run writes a run.meta with the options of the command
 that ran, as they took effect, the library versions and the options that
 took no effect (unused_options): the loop options of a uniform study,
 quad_degree where the load is piecewise constant, and the seed of a check
-whose suites draw no random numbers.  A solve also records the size of the
-factored system and the nonzeros stored for its factors (n_multipliers,
+whose suites draw no random numbers.  A solve also records the number of
+multipliers and the values its factor stores, SuperLU's plus the
+eliminated multipliers' coupling block and diagonal (n_multipliers,
 factor_nnz).  A --config file holds key=value lines whose keys are the
 command's own long options (theta_tilde or theta-tilde); they are parsed
 like flags placed before the command line ones, so explicit flags win, and

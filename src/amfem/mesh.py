@@ -87,8 +87,9 @@ class Mesh:
 
     Every mesh is checked for finite coordinates, positive areas,
     conformity, the Euler relation and its area.  The scan for vertices no
-    live triangle uses runs on meshes built from arrays (and so on every
-    loaded mesh); a refined mesh cannot gain one.
+    live triangle uses and the check that the live triangles are joined
+    by their edges run on meshes built from arrays (and so on every loaded
+    mesh); a refined mesh cannot gain an unused vertex or a second part.
     """
 
     def __init__(self, points, tri_verts, tri_refedge, tri_gen, tri_parent,
@@ -240,6 +241,13 @@ class Mesh:
                 "non-conforming or multiply connected mesh: "
                 "ne=%d, nv=%d, nt=%d violate ne = nv + nt - 1"
                 % (ne, nv, live.size))
+        # a disk beside an annulus meets the Euler relation too
+        if parent is _NO_PARENT:
+            label = _components(edge_tri[~self.edge_boundary], live.size)
+            if label.any():
+                raise MeshFormatError(
+                    "disconnected mesh: no chain of edges joins triangle %d "
+                    "to triangle %d" % (live[0], live[np.argmax(label)]))
 
     # -- counts ---------------------------------------------------------
 
@@ -260,6 +268,26 @@ def _edge_key(lo, hi):
     """Sort key of the edge (lo, hi), lo < hi: lexicographic, and the same
     for every mesh whatever its vertex count."""
     return lo << 32 | hi
+
+
+def _components(pairs, n):
+    """The smallest node of each node's component in the graph on n nodes
+    whose edges are the rows of ``pairs``.  Each round hooks every root
+    under the smallest root it is joined to, then shortcuts every node to
+    its root (Shiloach & Vishkin, J. Algorithms 3, 1982); hooks only lower
+    a label, so the rounds end."""
+    label = np.arange(n)
+    a, b = pairs.T
+    while True:
+        la, lb = label[a], label[b]
+        differ = la != lb
+        if not differ.any():
+            return label
+        np.minimum.at(label, np.maximum(la, lb)[differ],
+                      np.minimum(la, lb)[differ])
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
 
 
 # the parent of a mesh built from its arrays alone: no rows, no edges

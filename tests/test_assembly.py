@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from amfem.adapt import AdaptParams, amfem
-from amfem.assembly import (ProblemSpec, SolverError, assemble, error_sigma,
-                            solve, solve_poisson)
+from amfem.assembly import (ProblemSpec, SolverError, assemble, condense,
+                            error_sigma, recover, solve, solve_poisson)
 from amfem.fespace import RTSpace, div_matrix, rt_mass_matrix
 from amfem.mesh import uniform_refine
 from amfem.sources import FunctionSource, P0Source
@@ -76,6 +76,27 @@ def test_one_element_kernel_per_mesh(monkeypatch):
     nT = hist.column("nT")
     # step k prolongates from mesh k - 1, then solves on mesh k
     assert [s.mesh.nt for s in gathers] == list(np.repeat(nT, 2)[:-1])
+
+
+def test_a_second_recover_reuses_the_checks_per_mesh_arrays(monkeypatch):
+    """The argsort of the edge ids and |M_T| are made by the first
+    ``recover`` on a ``Condensed``, not by ``condense``, and a second load
+    reads them back: the same solution, and no argsort of ``tri_edge``."""
+    space, rhs_u = assemble(uniform_refine(lshape_mesh(), 2),
+                            ProblemSpec(f=smooth_f))
+    cond = condense(space)
+    assert cond._by_edge is None and cond._abs_mass is None
+    first = recover(cond, rhs_u)
+    kept = cond._by_edge, cond._abs_mass
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort",
+                        lambda *a, **k: sorts.append(a) or argsort(*a, **k))
+    second = recover(cond, rhs_u)
+    assert not sorts
+    assert cond._by_edge is kept[0] and cond._abs_mass is kept[1]
+    assert np.array_equal(second.sigma.values, first.sigma.values)
+    assert np.array_equal(second.u.values, first.u.values)
 
 
 def test_conservation_defect_matches_recomputation():

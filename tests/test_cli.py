@@ -123,6 +123,16 @@ def test_exit_one_on_mesh_with_non_finite_geometry(tmp_path):
     assert "RuntimeWarning" not in res.stderr
 
 
+def test_exit_one_on_disconnected_mesh(tmp_path):
+    from test_mesh import RING_AND_TRIANGLE
+    bad = tmp_path / "ring.txt"
+    bad.write_text(RING_AND_TRIANGLE)
+    res = run_cli("solve", "--mesh", str(bad), "--out", str(tmp_path / "o"))
+    assert res.returncode == 1
+    assert "disconnected mesh" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_one_on_bad_config(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("theta 0.5\n")          # missing equals sign

@@ -1,7 +1,9 @@
 """The nested-dissection numbering of the multipliers: against an ancestor
 walk over the bisection tree on random refinements (with and without their
-genealogy), and its fill against COLAMD, the column ordering it replaced,
-on a refined mesh and on the same mesh reloaded from a file."""
+genealogy), and the values its factor stores (SuperLU's factor of the
+Schur complement, the coupling block and the diagonal) against COLAMD's
+factor of the full S, the column ordering it replaced, on a refined mesh
+and on the same mesh reloaded from a file."""
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -13,10 +15,12 @@ from hypothesis import strategies as st
 
 from amfem import assembly
 from amfem.assembly import (ProblemSpec, _bisection_tree, _elimination_order,
-                            solve_poisson)
+                            condense, solve_poisson)
+from amfem.fespace import RTSpace
 from amfem.mesh import load_mesh, save_mesh, uniform_refine
 from amfem.verify import lshape_mesh
 from test_nvb_properties import nested_meshes
+from test_sibling_elimination import full_system
 
 
 def chain(parent, node):
@@ -71,19 +75,25 @@ def test_order_is_a_nested_dissection_of_the_bisection_tree(meshes, reload):
 
 
 def factor_fill(monkeypatch, mesh):
-    """(nnz of the factor the solve made, nnz of COLAMD's factor of the
-    same S in edge order), with the solution."""
+    """(the values the solve's factor stores, nnz of COLAMD's factor of the
+    full S in edge order).  SuperLU factors the Schur complement S' of the
+    multipliers left after the elimination; the solve's count adds the
+    coupling block and the diagonal it stores beside SuperLU's factor."""
+    cond = condense(RTSpace(mesh))
     factored = []
 
     def splu(A, *args, **kwargs):
-        factored.append(A)
+        factored.append(A.shape)
         return spla.splu(A, *args, **kwargs)
 
     monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=splu))
     sol = solve_poisson(mesh, ProblemSpec(f=lambda x, y: 1.0 + x * y))
-    S, = factored
+    S = full_system(cond)
     order = _elimination_order(mesh)
+    kept = np.count_nonzero(~cond.elim)
     assert sol.n_multipliers == S.shape[0] == order.size
+    assert factored == [(kept, kept)]
+    assert sol.factor_nnz == cond.lu.nnz + cond.C.nnz + order.size - kept
     by_edge = np.argsort(order)
     colamd = spla.splu(S[by_edge][:, by_edge].tocsc())
     return sol.factor_nnz, colamd.nnz

@@ -4,9 +4,10 @@ the load scaled by 1e-12.
 
 The solver faults go in through ``assembly.spla``, the module attribute
 whose ``splu`` ``condense`` calls: a stand-in ``splu`` returns the real
-factor with a ``solve`` that corrupts the multipliers, so the residual,
-conservation and finiteness checks of ``recover`` see a wrong solution of
-the condensed system."""
+factor of the Schur complement S' with a ``solve`` that corrupts the
+multipliers SuperLU solves for.  The back step carries the error on to the
+eliminated multipliers, so the residual, conservation and finiteness
+checks of ``recover`` see a wrong solution of the condensed system."""
 from types import SimpleNamespace
 
 import numpy as np
@@ -113,15 +114,19 @@ def edge_at(mesh, midpoint):
     (6e-11, "^solve residual too large"),
 ])
 def test_conservation_check_fires_on_its_own(monkeypatch, delta, outcome):
-    """One multiplier off by ``delta``: on the 24-triangle L-shape mesh the
-    interior edge at (0.75, 0.25) has a window in which the elementwise
-    conservation check fires while both residuals pass (about 5.1e-11 and
-    7.3e-11 at delta = 3e-11, with a defect of 1.3e-10); above it the
-    residual check fires first, below it the solve passes."""
+    """One multiplier of S' off by ``delta``: on the 24-triangle L-shape
+    mesh the interior edge at (0.75, 0.25), which SuperLU solves for, has a
+    window in which the elementwise conservation check fires while both
+    residuals pass (about 3.1e-11 and 7.1e-11 at delta = 3e-11, with a
+    defect of 1.3e-10); above it the residual check fires first, below it
+    the solve passes."""
     mesh, problem = lshape(1)
     edge = edge_at(mesh, [0.75, 0.25])
     assert not mesh.edge_boundary[edge]
-    pos = condense(RTSpace(mesh)).L[mesh.tri_edge == edge][0]
+    cond = condense(RTSpace(mesh))
+    full = cond.L[mesh.tri_edge == edge][0]
+    assert not cond.elim[full]
+    pos = np.count_nonzero(~cond.elim[:full])     # its row of S'
     corrupt_multipliers(monkeypatch, lambda x: np.where(
         np.arange(x.size) == pos, delta, 0.0))
     if outcome is None:

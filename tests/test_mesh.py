@@ -296,6 +296,35 @@ def test_load_rejects_non_finite_geometry(text, bad):
         load_mesh(text)
 
 
+# a triangulated annulus (the outer triangle 0 1 2 around the hole 3 4 5)
+# beside a lone triangle: 9 vertices, 7 triangles and 15 edges, so
+# ne = nv + nt - 1 holds although the mesh has two components
+RING_AND_TRIANGLE = (
+    "amfemmesh 1\n9 7\n0 0\n4 0\n2 4\n1.5 1\n2.5 1\n2 2\n"
+    "10 0\n11 0\n10 1\n0 1 3 -\n1 4 3 -\n1 2 4 -\n2 5 4 -\n2 0 5 -\n"
+    "0 3 5 -\n6 7 8 -\n")
+
+
+def test_load_rejects_a_disconnected_mesh_that_meets_euler():
+    """The counts would pass ``check_helmholtz``'s dims identity, whose P1
+    stiffness on this mesh is singular; the mesh is refused first."""
+    nv, nt, ne = 9, 7, 15
+    assert ne == (nv - 1) + nt
+    with pytest.raises(MeshFormatError, match="^disconnected mesh: no chain "
+                       "of edges joins triangle 0 to triangle 6$"):
+        load_mesh(RING_AND_TRIANGLE)
+
+
+def test_components_of_a_path_numbered_against_its_order():
+    """Labels that fall along a path and rise along it again, and a
+    second component: each node gets the smallest node of its part."""
+    from amfem.mesh import _components
+    pairs = np.array([[5, 3], [3, 1], [1, 4], [4, 0], [0, 6], [2, 7]])
+    assert _components(pairs, 8).tolist() == [0, 0, 2, 0, 0, 0, 0, 2]
+    assert _components(np.empty((0, 2), dtype=np.int64), 3).tolist() == [
+        0, 1, 2]
+
+
 def test_mesh_rejects_non_finite_point():
     m = ref_tri_mesh()
     points = m.points.copy()

@@ -175,7 +175,9 @@ def test_check_helmholtz_clean_on_square():
 def test_check_helmholtz_factors_the_cr_matrix_once(monkeypatch):
     """One sparse mass matrix, for the P1 matrix, one Crouzeix-Raviart and
     one P1 factorization per call, both through ``assembly.spla``, and one
-    recovery, with its residual and conservation checks, per field."""
+    recovery, with its residual and conservation checks, per field.  The
+    Crouzeix-Raviart factor is of the multipliers left once the edges
+    between live siblings are eliminated: 40 - 16 on this mesh."""
     from types import SimpleNamespace
     from amfem import assembly, verify
     built, factored, recovered = [], [], []
@@ -201,8 +203,11 @@ def test_check_helmholtz_factors_the_cr_matrix_once(monkeypatch):
     results = check_helmholtz(mesh)
     assert all(r.passed for r in results)
     n = int(np.count_nonzero(~mesh.edge_boundary))
+    parent = mesh.tri_parent[mesh.live]
+    n -= np.count_nonzero(np.bincount(parent[parent >= 0]) == 2)
     assert len(built) == 1 and len(recovered) == 11
-    assert factored == [(n, n), (mesh.nv - 1, mesh.nv - 1)]
+    assert factored == [(n, n), (mesh.nv - 1, mesh.nv - 1)] == [
+        (24, 24), (24, 24)]
 
 
 def test_all_suites_pass():
