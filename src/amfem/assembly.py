@@ -37,24 +37,30 @@ from the space, which computes it once per mesh and derives M_T from it.
 
 The multipliers are numbered by nested dissection read off the bisection
 genealogy (``_elimination_order``; the bisection tree as a space
-decomposition: Chen, Nochetto & Xu, Numer. Math. 120, 2012).  In that
-order the edge between two live siblings comes before all of its
-neighbours.  The multipliers whose row of S has no entry left of the
-diagonal (the leading independent set: on a genealogy mesh exactly those
-sibling edges, about a third of the multipliers) share no triangle, so S
-restricted to them is a diagonal D, and numpy eliminates them exactly:
-with C the block coupling the kept multipliers to them, SuperLU factors
-only the Schur complement S' = S_kk - C D^-1 C^T, kept rows in their
-order, with the natural column order, symmetric mode and diagonal
-pivots.  The full S is never built.  A solve is a forward step on D,
-SuperLU on S' and a back step on D (``Condensed.solve``).
+decomposition: Chen, Nochetto & Xu, Numer. Math. 120, 2012): each interior
+edge goes by the postorder number of the lowest common ancestor of its two
+triangles, so every separator follows the separators inside it and each
+subtree's edges are contiguous (Liu, SIAM Review 34, 1992).  In that order
+the edge between two live siblings comes before all of its neighbours.
+Up to ``PASSES`` passes then run in numpy.  Each takes the rows of the
+current matrix (S for the first) that have no entry left of the diagonal
+in its symmetric pattern (the leading independent set: for the first pass
+on a genealogy mesh exactly those sibling edges, about a third of the
+multipliers).  They share no entry, so the matrix restricted to them is a
+diagonal D, and with C the block coupling the kept rows to them the pass
+hands the Schur complement A - C D^-1 C^T, kept rows in their order, to
+the next.  SuperLU factors what the last pass leaves, with the natural
+column order, symmetric mode and diagonal pivots.  The full S is never
+built.  A solve is a forward step on each pass's D, SuperLU,
+and a back step on each D in reverse (``Condensed.solve``).
 
 Importing this module loads no scipy.sparse.  ``_multiplier_system``
-imports scipy.sparse when it builds S', and the module attribute ``spla``
-(scipy.sparse.linalg, whose ``splu`` ``condense`` calls) is imported on its
-first read and then kept as a module global.  ``condense`` reads it as a
-module attribute, so a caller that sets ``assembly.spla`` replaces the
-factorization that ``condense`` runs.
+imports scipy.sparse when the first pass builds its rows of S, and the
+module attribute ``spla`` (scipy.sparse.linalg, whose ``splu``
+``condense`` calls) is imported on its first read and then kept as a
+module global.  ``condense`` reads it as a module attribute, so a caller
+that sets ``assembly.spla`` replaces the factorization that ``condense``
+runs.
 """
 from __future__ import annotations
 
@@ -73,10 +79,13 @@ __all__ = ["ProblemSpec", "MixedSolution", "SolverError",
            "solve_poisson", "error_sigma"]
 
 CONSERVATION_TOL = 1e-10
+# the leading-independent-set passes ahead of SuperLU
+PASSES = 6
 # what ``solve`` factors, as recorded in run.meta
 SOLVER = ("hybridized-crouzeix-raviart-interior-edges/"
-          "bisection-tree-nested-dissection/"
-          "leading-independent-set-elimination/superlu-symmetric-natural")
+          "bisection-tree-nested-dissection-postorder/"
+          "leading-independent-set-elimination-%d-passes/"
+          "superlu-symmetric-natural" % PASSES)
 
 
 def __getattr__(name):
@@ -112,6 +121,7 @@ class MixedSolution:
     conservation_defect: float
     n_multipliers: int      # size of S, the eliminated multipliers too
     factor_nnz: int         # values stored by Condensed: LU of S', C, d
+    factor_rows: int        # size of S', the rows SuperLU factors
     _affine: tuple = field(default=None, repr=False)
 
     @property
@@ -177,15 +187,51 @@ def _bisection_tree(mesh):
     return parent
 
 
+def _postorder(parent, depth):
+    """(first, last): the postorder span of the subtree below each node of
+    the binary tree ``parent`` (the top node is its own parent, ``depth``
+    the distance to it), the lower-numbered of two children first.  A node
+    is numbered ``last``, after its subtree.  One pass per level from the
+    bottom counts subtree sizes; one pass per level from the top places
+    each subtree: the lower child's starts where its parent's does, the
+    higher child's after the lower child's subtree."""
+    node = np.arange(parent.size)
+    # level by level; a narrow dtype lets numpy radix-sort the depths
+    seq = np.argsort(depth.astype(np.min_scalar_type(depth.max())),
+                     kind="stable")
+    cut = np.searchsorted(depth[seq], np.arange(depth.max() + 2))
+    levels = [seq[lo:hi] for lo, hi in zip(cut[:-1], cut[1:])]
+    at = np.empty_like(node)                        # position in its level
+    at[seq] = np.arange(seq.size) - cut[depth[seq]]
+    size = np.ones(parent.size)
+    for up, kids in zip(levels[-2::-1], levels[:0:-1]):
+        size[up] += np.bincount(at[parent[kids]], weights=size[kids],
+                                minlength=up.size)
+    # the two children of a node sum to ids[node]; the higher one follows
+    # the lower one's subtree
+    below = node != parent
+    ids = np.bincount(parent[below], weights=node[below],
+                      minlength=parent.size)
+    skip = np.where(below & (2 * node > ids[parent]),
+                    size[parent] - 1 - size, 0.0)
+    first = np.zeros(parent.size)
+    for kids in levels[1:]:
+        first[kids] = first[parent[kids]] + skip[kids]
+    return first.astype(np.int64), (first + size - 1).astype(np.int64)
+
+
 def _elimination_order(mesh):
     """The interior edges in nested-dissection order.
 
     The two triangles of an interior edge lie in different subtrees of
     their lowest common ancestor (LCA) in ``_bisection_tree``, so the edges
-    with one LCA separate the edges below it.  Sorting by (-depth(LCA),
-    LCA, edge id) eliminates every edge after all edges whose LCA lies
-    strictly below its own (George, SINUM 10, 1973).  Depths and LCAs come
-    from binary lifting: ``jumps[k]`` is every node's 2^k-th ancestor."""
+    with one LCA separate the edges below it.  Sorting by (postorder
+    number of the LCA, edge id) eliminates every edge after all edges whose
+    LCA lies strictly below its own, and the edges of each subtree one
+    after another (George, SINUM 10, 1973; Liu, SIAM Review 34, 1992).
+    The LCA comes from binary lifting: ``jumps[k]`` is every node's 2^k-th
+    ancestor, and a node is an ancestor of a triangle when its postorder
+    span holds the triangle's number."""
     parent = _bisection_tree(mesh)
     node = np.arange(parent.size)
     top = np.flatnonzero(parent == node)[0]
@@ -194,20 +240,19 @@ def _elimination_order(mesh):
     while np.any(jumps[-1] != top):
         depth += depth[jumps[-1]]
         jumps.append(jumps[-1][jumps[-1]])
+    first, last = _postorder(parent, depth)
     interior = np.flatnonzero(~mesh.edge_boundary)
-    # the tree's nodes are genealogy rows, edge_tri holds live positions
+    # the tree's nodes are genealogy rows, edge_tri holds live positions;
+    # a and b are leaves, so the LCA is the parent of the highest ancestor
+    # of a that is not one of b
     a, b = mesh.live[mesh.edge_tri[interior]].T
-    swap = depth[a] < depth[b]
-    a, b = np.where(swap, b, a), np.where(swap, a, b)
-    lift = depth[a] - depth[b]
-    for k, jump in enumerate(jumps):
-        a = np.where(lift >> k & 1, jump[a], a)
+    at_b = last[b]
     for jump in reversed(jumps):
-        differ = jump[a] != jump[b]
-        a, b = np.where(differ, jump[a], a), np.where(differ, jump[b], b)
-    lca = np.where(a == b, a, parent[a])
-    key = (depth.max() - depth[lca]) * parent.size + lca
-    return interior[np.argsort(key, kind="stable")]
+        up = jump[a]
+        a = np.where((first[up] > at_b) | (last[up] < at_b), up, a)
+    # ties by edge id: a unique key sorts faster than a stable sort
+    n = interior.size
+    return interior[np.argsort(last[parent[a]] * n + np.arange(n))]
 
 
 @dataclass
@@ -215,84 +260,115 @@ class Condensed:
     """The per-mesh half of ``solve``: the flux space it was condensed
     from, the multiplier number of each triangle's local edges (-1 on the
     boundary) and the factor of S, whose rows are in elimination order.
-    The multipliers flagged in ``elim`` share no triangle, so S restricted
-    to them is the diagonal ``d``; with C = S[~elim, elim] the coupling
-    block, ``lu`` is the LU factor of the Schur complement
-    S' = S[~elim, ~elim] - C D^-1 C^T.  The argsort of each triangle's edge
-    ids and |M_T|, which only the checks read, are made on the first
-    ``recover`` and kept for the next."""
+    Each entry (elim, d, C) of ``passes`` eliminates the rows flagged in
+    ``elim`` from the matrix the pass before it left (S for the first):
+    they share no entry, so that matrix restricted to them is the diagonal
+    ``d``, C couples the kept rows to them, and the kept rows, in their
+    order, carry the Schur complement A - C D^-1 C^T on to the next pass.
+    ``lu`` is the LU factor of what the last pass leaves.  The argsort of
+    each triangle's edge ids and |M_T|, which only the checks read, are
+    made on the first ``recover`` and kept for the next."""
     space: RTSpace
     L: np.ndarray
-    elim: np.ndarray
-    d: np.ndarray
-    C: object
+    passes: list
     lu: object
     _by_edge: np.ndarray = field(default=None, repr=False)
     _abs_mass: np.ndarray = field(default=None, repr=False)
 
     @property
     def nnz(self):
-        """The values the factor stores: SuperLU's, C's and d's."""
-        return self.lu.nnz + self.C.nnz + self.d.size
+        """The values the factor stores: SuperLU's and every pass's C and
+        d."""
+        return self.lu.nnz + sum(C.nnz + d.size for _, d, C in self.passes)
 
     def solve(self, b):
-        """S^-1 b in three steps: the eliminated multipliers' forward step
-        y = b_l / d, SuperLU on b_k - C y, and their back step
-        (b_l - C^T x_k) / d."""
-        elim, keep = self.elim, ~self.elim
-        b_l = b[elim]
-        x_k = self.lu.solve(b[keep] - self.C @ (b_l / self.d))
-        x = np.empty_like(b)
-        x[keep] = x_k
-        x[elim] = (b_l - self.C.T @ x_k) / self.d
+        """S^-1 b: a forward step y = b_l / d through the passes, with
+        b_k - C y carried on, SuperLU on what the last pass leaves, and the
+        back steps (b_l - C^T x_k) / d through the passes in reverse."""
+        loads = []
+        for elim, d, C in self.passes:
+            b_l = b[elim]
+            loads.append(b_l)
+            b = b[~elim] - C @ (b_l / d)
+        x = self.lu.solve(b)
+        for (elim, d, C), b_l in zip(reversed(self.passes), reversed(loads)):
+            x_k, x = x, np.empty(elim.size)
+            x[~elim] = x_k
+            x[elim] = (b_l - C.T @ x_k) / d
         return x
 
 
-def _multiplier_system(space: RTSpace):
-    """The multiplier number of each triangle's local edges, in
-    nested-dissection order, and S in that numbering, reduced by its
-    leading independent set: the multipliers whose row of S has no entry
-    left of the diagonal, which therefore share no triangle.  Returns
-    (L, elim, d, C, S') as ``Condensed`` holds them.  The full S is never
-    built, and the numbering's tables and the COO triplets die with this
-    call, so that only S', C and d are alive when SuperLU factors S'."""
+def _leading_set(rows, cols, n):
+    """The rows of the n x n pattern (rows, cols) with no entry left of the
+    diagonal on either side of it: rows that share no entry.  A coupling
+    that sums to zero still counts."""
+    elim = np.ones(n, dtype=bool)
+    elim[np.maximum(rows, cols)[rows != cols]] = False
+    return elim
+
+
+def _first_pass_rows(Q, L, n):
+    """(elim, d, T) of the first pass on S, read from the COO triplets of
+    the element blocks ``Q`` in the multiplier numbering ``L``: the leading
+    independent set of S, its diagonal there (summed from both triangles of
+    an edge) and the rows of S that the pass keeps, so that S itself is
+    never built."""
     import scipy.sparse as sp
-    mesh = space.mesh
-    Q = space.element_blocks()
-    order = _elimination_order(mesh)
-    n = order.size
-    ipos = np.full(mesh.ne, -1, dtype=np.int64)
-    ipos[order] = np.arange(n)
-    L = ipos[mesh.tri_edge]
     inner = L >= 0
     keep = inner[:, :, None] & inner[:, None, :]
     rows = np.broadcast_to(L[:, :, None], Q.shape)[keep]
     cols = np.broadcast_to(L[:, None, :], Q.shape)[keep]
     vals = Q[keep]
-    # a row with an entry left of its diagonal stays (structurally, so a
-    # coupling that sums to zero still counts)
-    elim = np.ones(n, dtype=bool)
-    elim[rows[cols < rows]] = False
-    nl = np.count_nonzero(elim)
-    sub = np.empty(n, dtype=np.int64)
-    sub[elim] = np.arange(nl)
-    sub[~elim] = np.arange(n - nl)
-    er, ec = elim[rows], elim[cols]
-    # both eliminated: a diagonal entry, from each of the edge's triangles
-    d = np.bincount(sub[rows[er & ec]], weights=vals[er & ec], minlength=nl)
-    kl, kk = ~er & ec, ~er & ~ec
-    C = sp.csr_matrix((vals[kl], (sub[rows[kl]], sub[cols[kl]])),
-                      shape=(n - nl, nl))
-    A = sp.csr_matrix((vals[kk], (sub[rows[kk]], sub[cols[kk]])),
-                      shape=(n - nl, n - nl))
-    return L, elim, d, C, (A - C @ sp.diags(1.0 / d) @ C.T).tocsc()
+    elim = _leading_set(rows, cols, n)
+    on = (rows == cols) & elim[rows]
+    d = np.bincount(rows[on], weights=vals[on], minlength=n)[elim]
+    kept = ~elim[rows]
+    return elim, d, sp.csr_matrix(
+        (vals[kept], ((np.cumsum(~elim) - 1)[rows[kept]], cols[kept])),
+        shape=(n - d.size, n))
+
+
+def _multiplier_system(space: RTSpace):
+    """The multiplier number of each triangle's local edges, in
+    nested-dissection order, up to ``PASSES`` elimination passes, each of
+    the leading independent set of the matrix the pass before it left, and
+    the matrix the last pass leaves, in CSC form: (L, passes, S') as
+    ``Condensed`` holds them.  Each pass starts from the kept rows and the
+    diagonal it reads, and the triplets, the numbering's tables and every
+    matrix before the last die on the way, so that only S' and the passes
+    are alive when SuperLU factors S'."""
+    import scipy.sparse as sp
+    mesh = space.mesh
+    order = _elimination_order(mesh)
+    n = order.size
+    ipos = np.full(mesh.ne, -1, dtype=np.int64)
+    ipos[order] = np.arange(n)
+    L = ipos[mesh.tri_edge]
+    elim, d, T = _first_pass_rows(space.element_blocks(), L, n)
+    passes = []
+    while True:
+        # T holds the kept rows; C couples them to the eliminated ones
+        C = T[:, np.flatnonzero(elim)]
+        S = T[:, np.flatnonzero(~elim)] - C @ sp.diags(1.0 / d) @ C.T
+        passes.append((elim, d, C))
+        n = S.shape[0]
+        # the first row of a matrix has nothing left of its diagonal, so a
+        # pass finds no row only when no row is left
+        if len(passes) == PASSES or not n:
+            return L, passes, S.tocsc()
+        elim = _leading_set(np.repeat(np.arange(n), np.diff(S.indptr)),
+                            S.indices, n)
+        d, T = S.diagonal()[elim], S[np.flatnonzero(~elim)]
+        # T and d hold all that the next pass reads; dropping S before its
+        # products lowers the memory the process keeps for SuperLU's
+        del S
 
 
 def condense(space: RTSpace) -> Condensed:
     """Condense onto the interior-edge multipliers, number them by nested
-    dissection, eliminate the leading independent set and factor the
-    Schur complement in that order."""
-    L, elim, d, C, S = _multiplier_system(space)
+    dissection, eliminate leading independent sets in up to ``PASSES``
+    passes and factor what they leave in that order."""
+    L, passes, S = _multiplier_system(space)
     try:
         # through the module attribute: a bare global read would not reach
         # the module's __getattr__ before the first one binds ``spla``
@@ -301,7 +377,7 @@ def condense(space: RTSpace) -> Condensed:
             options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError("sparse factorization failed: %s" % exc) from exc
-    return Condensed(space, L, elim, d, C, lu)
+    return Condensed(space, L, passes, lu)
 
 
 def _norm(x):
@@ -326,7 +402,7 @@ def recover(cond: Condensed, rhs_u) -> MixedSolution:
     Q = space.element_blocks()
     f3 = np.broadcast_to(rhs_u[:, None] / 3.0, L.shape)
     inner = L >= 0
-    n = cond.elim.size
+    n = np.count_nonzero(~mesh.edge_boundary)
     lam = cond.solve(np.bincount(L[inner], weights=f3[inner], minlength=n))
     # local recovery; each edge takes its flux from one triangle: the left
     # one of an interior edge, the only one of a boundary edge
@@ -374,7 +450,7 @@ def recover(cond: Condensed, rhs_u) -> MixedSolution:
                           % (defect, CONSERVATION_TOL))
     return MixedSolution(DofVector("RT", sig, mesh), DofVector("P0", u, mesh),
                          space, float(res_sigma), float(res_u), float(defect),
-                         n, cond.nnz)
+                         n, cond.nnz, cond.lu.shape[0])
 
 
 def solve(space: RTSpace, rhs_u) -> MixedSolution:

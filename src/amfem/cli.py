@@ -17,12 +17,13 @@ that ran, as they took effect, the library versions and the options that
 took no effect (unused_options): the loop options of a uniform study,
 quad_degree where the load is piecewise constant, and the seed of a check
 whose suites draw no random numbers.  A solve also records the number of
-multipliers and the values its factor stores, SuperLU's plus the
-eliminated multipliers' coupling block and diagonal (n_multipliers,
-factor_nnz).  A --config file holds key=value lines whose keys are the
-command's own long options (theta_tilde or theta-tilde); they are parsed
-like flags placed before the command line ones, so explicit flags win, and
-an unknown key or one that belongs to another command is an error.  A boolean such as two_stage takes 0, 1, true
+multipliers, the values its factor stores, SuperLU's plus each
+elimination pass's coupling block and diagonal, and the rows SuperLU
+factors (n_multipliers, factor_nnz, factor_rows).  A --config file holds
+key=value lines whose keys are the command's own long options (theta_tilde
+or theta-tilde); they are parsed like flags placed before the command line
+ones, so explicit flags win, and an unknown key or one that belongs to
+another command is an error.  A boolean such as two_stage takes 0, 1, true
 or false.  Options must be spelled in full.
 
 Exit codes: 0 success, 1 usage, configuration or input parse error,
@@ -282,7 +283,8 @@ def _cmd_solve(args):
     line = "solve %s %s" % (label, _emit_solution(args.out, sol, problem))
     _write_meta(args, (time.perf_counter() - t0) * 1e3,
                 {"n_multipliers": sol.n_multipliers,
-                 "factor_nnz": sol.factor_nnz})
+                 "factor_nnz": sol.factor_nnz,
+                 "factor_rows": sol.factor_rows})
     print(line)
     return 0
 

@@ -348,6 +348,7 @@ def test_run_meta_records_solver_and_peak_rss(tmp_path):
     # 128 triangles: 176 interior edges, one multiplier each
     assert int(meta["n_multipliers"]) == 176
     assert int(meta["factor_nnz"]) > 176
+    assert 0 < int(meta["factor_rows"]) < 176
     # approx never solves, so it names no solver
     res = run_cli("approx", "--benchmark", "checker_const", "--epsilon",
                   "1e-3", "--out", str(tmp_path / "approx"))

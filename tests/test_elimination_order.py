@@ -1,9 +1,10 @@
-"""The nested-dissection numbering of the multipliers: against an ancestor
-walk over the bisection tree on random refinements (with and without their
-genealogy), and the values its factor stores (SuperLU's factor of the
-Schur complement, the coupling block and the diagonal) against COLAMD's
-factor of the full S, the column ordering it replaced, on a refined mesh
-and on the same mesh reloaded from a file."""
+"""The nested-dissection numbering of the multipliers: against a
+depth-first postorder of the bisection tree on random refinements (with
+and without their genealogy), and the values its factor stores (SuperLU's
+factor of what the elimination passes leave, and each pass's coupling
+block and diagonal) against COLAMD's factor of the full S, the column
+ordering it replaced, on a refined mesh and on the same mesh reloaded from
+a file."""
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -29,6 +30,25 @@ def chain(parent, node):
     while parent[out[-1]] != out[-1]:
         out.append(int(parent[out[-1]]))
     return out
+
+
+def postorder(parent):
+    """The postorder number of every node by a depth-first walk that
+    visits the children of a node in ascending node id."""
+    kids = [[] for _ in parent]
+    for node, up in enumerate(parent):
+        if up != node:
+            kids[up].append(node)
+    top = int(np.flatnonzero(parent == np.arange(parent.size))[0])
+    post, stack = {}, [(top, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            post[node] = len(post)
+            continue
+        stack.append((node, True))
+        stack.extend((kid, False) for kid in reversed(kids[node]))
+    return post
 
 
 @settings(max_examples=25, deadline=None)
@@ -57,28 +77,32 @@ def test_order_is_a_nested_dissection_of_the_bisection_tree(meshes, reload):
     order = _elimination_order(mesh)
     interior = np.flatnonzero(~mesh.edge_boundary)
     assert np.array_equal(np.sort(order), interior)
-    lca, depth = {}, {}
+    lca = {}
     for e in interior:
         up = chain(parent, mesh.live[mesh.edge_tri[e, 0]])
         other = set(chain(parent, mesh.live[mesh.edge_tri[e, 1]]))
         lca[e] = next(node for node in up if node in other)
-        depth[e] = len(chain(parent, lca[e])) - 1
-    assert list(order) == sorted(interior,
-                                 key=lambda e: (-depth[e], lca[e], e))
-    # every edge comes after each edge whose LCA lies strictly below its own
-    last_below = {}
+    # sorted by the postorder number of the LCA, ties by edge id
+    post = postorder(parent)
+    assert list(order) == sorted(interior, key=lambda e: (post[lca[e]], e))
+    # every edge comes after each edge whose LCA lies strictly below its
+    # own, and the edges whose LCA lies in one subtree are contiguous
+    last_below, spans = {}, {}
     for pos, e in enumerate(order):
         for node in chain(parent, lca[e])[1:]:
             last_below[node] = pos
+        for node in chain(parent, lca[e]):
+            spans.setdefault(node, []).append(pos)
     assert all(last_below.get(lca[e], -1) < pos
                for pos, e in enumerate(order))
+    assert all(at[-1] - at[0] == len(at) - 1 for at in spans.values())
 
 
 def factor_fill(monkeypatch, mesh):
     """(the values the solve's factor stores, nnz of COLAMD's factor of the
-    full S in edge order).  SuperLU factors the Schur complement S' of the
-    multipliers left after the elimination; the solve's count adds the
-    coupling block and the diagonal it stores beside SuperLU's factor."""
+    full S in edge order).  SuperLU factors what the elimination passes
+    leave of S; the solve's count adds the coupling block and the diagonal
+    each pass stores beside SuperLU's factor."""
     cond = condense(RTSpace(mesh))
     factored = []
 
@@ -90,10 +114,13 @@ def factor_fill(monkeypatch, mesh):
     sol = solve_poisson(mesh, ProblemSpec(f=lambda x, y: 1.0 + x * y))
     S = full_system(cond)
     order = _elimination_order(mesh)
-    kept = np.count_nonzero(~cond.elim)
+    kept = order.size - sum(np.count_nonzero(elim)
+                            for elim, _, _ in cond.passes)
     assert sol.n_multipliers == S.shape[0] == order.size
-    assert factored == [(kept, kept)]
-    assert sol.factor_nnz == cond.lu.nnz + cond.C.nnz + order.size - kept
+    assert factored == [(kept, kept)] == [cond.lu.shape]
+    assert sol.factor_nnz == cond.lu.nnz + sum(
+        C.nnz + d.size for _, d, C in cond.passes)
+    assert sol.factor_rows == kept
     by_edge = np.argsort(order)
     colamd = spla.splu(S[by_edge][:, by_edge].tocsc())
     return sol.factor_nnz, colamd.nnz
@@ -120,4 +147,5 @@ def test_solve_on_a_reloaded_mesh_records_fill_below_colamds(monkeypatch,
     assert not mesh.tri_gen.any()
     nd, colamd = factor_fill(monkeypatch, mesh)
     assert int(meta["factor_nnz"]) == nd < colamd
+    assert int(meta["factor_rows"]) == condense(RTSpace(mesh)).lu.shape[0]
     assert int(meta["n_multipliers"]) == np.count_nonzero(~mesh.edge_boundary)

@@ -4,10 +4,11 @@ the load scaled by 1e-12.
 
 The solver faults go in through ``assembly.spla``, the module attribute
 whose ``splu`` ``condense`` calls: a stand-in ``splu`` returns the real
-factor of the Schur complement S' with a ``solve`` that corrupts the
-multipliers SuperLU solves for.  The back step carries the error on to the
-eliminated multipliers, so the residual, conservation and finiteness
-checks of ``recover`` see a wrong solution of the condensed system."""
+factor of S', what the elimination passes leave of S, with a ``solve``
+that corrupts the multipliers SuperLU solves for.  The back steps carry
+the error on to the eliminated multipliers, so the residual, conservation
+and finiteness checks of ``recover`` see a wrong solution of the condensed
+system."""
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,7 @@ from amfem.assembly import ProblemSpec, SolverError, condense, solve_poisson
 from amfem.fespace import RTSpace
 from amfem.mesh import refine_edges, uniform_refine
 from amfem.verify import benchmark
+from test_sibling_elimination import superlu_rows
 
 
 class _Corrupted:
@@ -115,20 +117,21 @@ def edge_at(mesh, midpoint):
 ])
 def test_conservation_check_fires_on_its_own(monkeypatch, delta, outcome):
     """One multiplier of S' off by ``delta``: on the 24-triangle L-shape
-    mesh the interior edge at (0.75, 0.25), which SuperLU solves for, has a
-    window in which the elementwise conservation check fires while both
-    residuals pass (about 3.1e-11 and 7.1e-11 at delta = 3e-11, with a
-    defect of 1.3e-10); above it the residual check fires first, below it
-    the solve passes."""
+    mesh the interior edge at (-0.75, -0.75), one of the four multipliers
+    that the elimination passes leave to SuperLU, has a window in which
+    the elementwise conservation check fires while both residuals pass
+    (about 2.8e-11 and 6.5e-11 at delta = 3e-11, with a defect of
+    1.1e-10); above it the residual check fires first, below it the solve
+    passes."""
     mesh, problem = lshape(1)
-    edge = edge_at(mesh, [0.75, 0.25])
+    edge = edge_at(mesh, [-0.75, -0.75])
     assert not mesh.edge_boundary[edge]
     cond = condense(RTSpace(mesh))
     full = cond.L[mesh.tri_edge == edge][0]
-    assert not cond.elim[full]
-    pos = np.count_nonzero(~cond.elim[:full])     # its row of S'
+    pos = np.flatnonzero(superlu_rows(cond) == full)    # its row of S'
+    assert pos.size == 1
     corrupt_multipliers(monkeypatch, lambda x: np.where(
-        np.arange(x.size) == pos, delta, 0.0))
+        np.arange(x.size) == pos[0], delta, 0.0))
     if outcome is None:
         sol = solve_poisson(mesh, problem)
         assert sol.conservation_defect < 1e-10

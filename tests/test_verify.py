@@ -176,10 +176,11 @@ def test_check_helmholtz_factors_the_cr_matrix_once(monkeypatch):
     """One sparse mass matrix, for the P1 matrix, one Crouzeix-Raviart and
     one P1 factorization per call, both through ``assembly.spla``, and one
     recovery, with its residual and conservation checks, per field.  The
-    Crouzeix-Raviart factor is of the multipliers left once the edges
-    between live siblings are eliminated: 40 - 16 on this mesh."""
+    Crouzeix-Raviart factor is of the multipliers the elimination passes
+    leave: 3 of the 40 on this mesh."""
     from types import SimpleNamespace
     from amfem import assembly, verify
+    from amfem.fespace import RTSpace
     built, factored, recovered = [], [], []
     mass, splu, recover = (verify.rt_mass_matrix, assembly.spla.splu,
                            verify.recover)
@@ -196,18 +197,17 @@ def test_check_helmholtz_factors_the_cr_matrix_once(monkeypatch):
         recovered.append(rhs_u)
         return recover(cond, rhs_u)
 
+    mesh = uniform_refine(unit_square_mesh(), 2)
+    n = assembly.condense(RTSpace(mesh)).lu.shape[0]
     monkeypatch.setattr(verify, "rt_mass_matrix", counting_mass)
     monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=counting_splu))
     monkeypatch.setattr(verify, "recover", counting_recover)
-    mesh = uniform_refine(unit_square_mesh(), 2)
     results = check_helmholtz(mesh)
     assert all(r.passed for r in results)
-    n = int(np.count_nonzero(~mesh.edge_boundary))
-    parent = mesh.tri_parent[mesh.live]
-    n -= np.count_nonzero(np.bincount(parent[parent >= 0]) == 2)
     assert len(built) == 1 and len(recovered) == 11
+    assert np.count_nonzero(~mesh.edge_boundary) == 40
     assert factored == [(n, n), (mesh.nv - 1, mesh.nv - 1)] == [
-        (24, 24), (24, 24)]
+        (3, 3), (24, 24)]
 
 
 def test_all_suites_pass():
