@@ -42,25 +42,24 @@ edge goes by the postorder number of the lowest common ancestor of its two
 triangles, so every separator follows the separators inside it and each
 subtree's edges are contiguous (Liu, SIAM Review 34, 1992).  In that order
 the edge between two live siblings comes before all of its neighbours.
-Up to ``PASSES`` passes then run in numpy.  Each takes the rows of the
-current matrix (S for the first) that have no entry left of the diagonal
-in its symmetric pattern (the leading independent set: for the first pass
-on a genealogy mesh exactly those sibling edges, about a third of the
-multipliers).  They share no entry, so the matrix restricted to them is a
-diagonal D, and with C the block coupling the kept rows to them the pass
-hands the Schur complement A - C D^-1 C^T, kept rows in their order, to
-the next.  SuperLU factors what the last pass leaves, with the natural
-column order, symmetric mode and diagonal pivots.  The full S is never
-built.  A solve is a forward step on each pass's D, SuperLU,
+S is built once in that numbering, and up to ``PASSES`` passes then run
+in numpy, the first on S.  Each takes the rows of the current matrix that
+have no entry left of the diagonal in its symmetric pattern (the leading
+independent set: for the first pass on a genealogy mesh exactly those
+sibling edges, about a third of the multipliers).  They share no entry, so
+the matrix restricted to them is a diagonal D, and with C the block
+coupling the kept rows to them the pass hands the Schur complement
+A - C D^-1 C^T, kept rows in their order, to the next.  SuperLU factors
+what the last pass leaves, with the natural column order, symmetric mode
+and diagonal pivots.  A solve is a forward step on each pass's D, SuperLU,
 and a back step on each D in reverse (``Condensed.solve``).
 
 Importing this module loads no scipy.sparse.  ``_multiplier_system``
-imports scipy.sparse when the first pass builds its rows of S, and the
-module attribute ``spla`` (scipy.sparse.linalg, whose ``splu``
-``condense`` calls) is imported on its first read and then kept as a
-module global.  ``condense`` reads it as a module attribute, so a caller
-that sets ``assembly.spla`` replaces the factorization that ``condense``
-runs.
+imports scipy.sparse when it builds S, and the module attribute ``spla``
+(scipy.sparse.linalg, whose ``splu`` ``condense`` calls) is imported on
+its first read and then kept as a module global.  ``condense`` reads it as
+a module attribute, so a caller that sets ``assembly.spla`` replaces the
+factorization that ``condense`` runs.
 """
 from __future__ import annotations
 
@@ -265,15 +264,11 @@ class Condensed:
     they share no entry, so that matrix restricted to them is the diagonal
     ``d``, C couples the kept rows to them, and the kept rows, in their
     order, carry the Schur complement A - C D^-1 C^T on to the next pass.
-    ``lu`` is the LU factor of what the last pass leaves.  The argsort of
-    each triangle's edge ids and |M_T|, which only the checks read, are
-    made on the first ``recover`` and kept for the next."""
+    ``lu`` is the LU factor of what the last pass leaves."""
     space: RTSpace
     L: np.ndarray
     passes: list
     lu: object
-    _by_edge: np.ndarray = field(default=None, repr=False)
-    _abs_mass: np.ndarray = field(default=None, repr=False)
 
     @property
     def nnz(self):
@@ -307,36 +302,18 @@ def _leading_set(rows, cols, n):
     return elim
 
 
-def _first_pass_rows(Q, L, n):
-    """(elim, d, T) of the first pass on S, read from the COO triplets of
-    the element blocks ``Q`` in the multiplier numbering ``L``: the leading
-    independent set of S, its diagonal there (summed from both triangles of
-    an edge) and the rows of S that the pass keeps, so that S itself is
-    never built."""
-    import scipy.sparse as sp
-    inner = L >= 0
-    keep = inner[:, :, None] & inner[:, None, :]
-    rows = np.broadcast_to(L[:, :, None], Q.shape)[keep]
-    cols = np.broadcast_to(L[:, None, :], Q.shape)[keep]
-    vals = Q[keep]
-    elim = _leading_set(rows, cols, n)
-    on = (rows == cols) & elim[rows]
-    d = np.bincount(rows[on], weights=vals[on], minlength=n)[elim]
-    kept = ~elim[rows]
-    return elim, d, sp.csr_matrix(
-        (vals[kept], ((np.cumsum(~elim) - 1)[rows[kept]], cols[kept])),
-        shape=(n - d.size, n))
-
-
 def _multiplier_system(space: RTSpace):
     """The multiplier number of each triangle's local edges, in
     nested-dissection order, up to ``PASSES`` elimination passes, each of
     the leading independent set of the matrix the pass before it left, and
     the matrix the last pass leaves, in CSC form: (L, passes, S') as
-    ``Condensed`` holds them.  Each pass starts from the kept rows and the
-    diagonal it reads, and the triplets, the numbering's tables and every
-    matrix before the last die on the way, so that only S' and the passes
-    are alive when SuperLU factors S'."""
+    ``Condensed`` holds them.  S sums the element blocks and keeps the
+    couplings that sum to exactly zero (the orthogonal legs of a right
+    triangle give them), so the first pass sees the pattern of the
+    triangles.  One loop runs every pass.  Each starts from the kept rows
+    and the diagonal it reads, and the triplets, the numbering's tables and
+    every matrix before the last die on the way, so that only S' and the
+    passes are alive when SuperLU factors S'."""
     import scipy.sparse as sp
     mesh = space.mesh
     order = _elimination_order(mesh)
@@ -344,24 +321,28 @@ def _multiplier_system(space: RTSpace):
     ipos = np.full(mesh.ne, -1, dtype=np.int64)
     ipos[order] = np.arange(n)
     L = ipos[mesh.tri_edge]
-    elim, d, T = _first_pass_rows(space.element_blocks(), L, n)
+    Q = space.element_blocks()
+    inner = (L[:, :, None] >= 0) & (L[:, None, :] >= 0)
+    rows = np.broadcast_to(L[:, :, None], Q.shape)[inner]
+    cols = np.broadcast_to(L[:, None, :], Q.shape)[inner]
+    S = sp.csr_matrix((Q[inner], (rows, cols)), shape=(n, n))
+    del ipos, order, inner, rows, cols
     passes = []
-    while True:
-        # T holds the kept rows; C couples them to the eliminated ones
-        C = T[:, np.flatnonzero(elim)]
-        S = T[:, np.flatnonzero(~elim)] - C @ sp.diags(1.0 / d) @ C.T
-        passes.append((elim, d, C))
-        n = S.shape[0]
-        # the first row of a matrix has nothing left of its diagonal, so a
-        # pass finds no row only when no row is left
-        if len(passes) == PASSES or not n:
-            return L, passes, S.tocsc()
+    # the first row of a matrix has nothing left of its diagonal, so a pass
+    # finds no row only when no row is left
+    while len(passes) < PASSES and n:
         elim = _leading_set(np.repeat(np.arange(n), np.diff(S.indptr)),
                             S.indices, n)
         d, T = S.diagonal()[elim], S[np.flatnonzero(~elim)]
-        # T and d hold all that the next pass reads; dropping S before its
-        # products lowers the memory the process keeps for SuperLU's
+        # T and d hold all that the pass reads; dropping each matrix once it
+        # is read lowers the memory the process keeps for SuperLU's
         del S
+        C = T[:, np.flatnonzero(elim)]
+        S = T[:, np.flatnonzero(~elim)] - C @ sp.diags(1.0 / d) @ C.T
+        del T
+        passes.append((elim, d, C))
+        n = S.shape[0]
+    return L, passes, S.tocsc()
 
 
 def condense(space: RTSpace) -> Condensed:
@@ -414,18 +395,15 @@ def recover(cond: Condensed, rhs_u) -> MixedSolution:
     u = rhs_u * np.trace(Q, axis1=1, axis2=2) / 144.0 + c.mean(axis=1)
     if not (np.all(np.isfinite(sig)) and np.all(np.isfinite(u))):
         raise SolverError("solver produced non-finite values")
-    if cond._by_edge is None:
-        cond._by_edge = np.argsort(E, axis=1)
-        cond._abs_mass = np.abs(space.mass_blocks())
     # a row of B sums s sigma_T in ascending edge id, as a CSR row does
     sig_E = sig[E]
     r1 = np.bincount(E.ravel(), minlength=mesh.ne, weights=(
         np.einsum("tij,tj->ti", space.mass_blocks(), sig_E)
         - s * u[:, None]).ravel())
     scale1 = np.bincount(E.ravel(), minlength=mesh.ne, weights=(
-        np.einsum("tij,tj->ti", cond._abs_mass, np.abs(sig_E))
+        np.einsum("tij,tj->ti", np.abs(space.mass_blocks()), np.abs(sig_E))
         + np.abs(u)[:, None]).ravel())
-    div = np.take_along_axis(s * sig_E, cond._by_edge, axis=1)
+    div = np.take_along_axis(s * sig_E, np.argsort(E, axis=1), axis=1)
     r2 = div.sum(axis=1) - rhs_u
     flux_scale = np.abs(div).sum(axis=1)
     # the first block row has no load, so its residual is relative to 1

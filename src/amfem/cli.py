@@ -49,7 +49,7 @@ from .assembly import (SOLVER, ProblemSpec, SolverError, solve_poisson,
                        error_sigma)
 from .estimator import estimate, report_to_csv
 from .fespace import dof_to_text
-from .mesh import MeshFormatError, load_mesh, save_mesh, uniform_refine
+from .mesh import load_mesh, save_mesh, uniform_refine
 from .sources import FunctionSource, as_source
 from .verify import (SUITES, benchmark, benchmark_names, fit_points, fit_rate,
                      run_suite, suite_csv, suite_draws, uniform_study)
@@ -414,7 +414,7 @@ def main(argv=None):
     try:
         args = _parse(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, MeshFormatError, KeyError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except SolverError as exc:

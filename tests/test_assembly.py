@@ -7,7 +7,7 @@ from amfem.adapt import AdaptParams, amfem
 from amfem.assembly import (ProblemSpec, SolverError, assemble, condense,
                             error_sigma, recover, solve, solve_poisson)
 from amfem.fespace import RTSpace, div_matrix, rt_mass_matrix
-from amfem.mesh import uniform_refine
+from amfem.mesh import load_mesh, uniform_refine
 from amfem.sources import FunctionSource, P0Source
 from amfem.verify import (benchmark, lshape_mesh, smooth_f, smooth_sigma,
                           smooth_u, unit_square_mesh)
@@ -78,25 +78,28 @@ def test_one_element_kernel_per_mesh(monkeypatch):
     assert [s.mesh.nt for s in gathers] == list(np.repeat(nT, 2)[:-1])
 
 
-def test_a_second_recover_reuses_the_checks_per_mesh_arrays(monkeypatch):
-    """The argsort of the edge ids and |M_T| are made by the first
-    ``recover`` on a ``Condensed``, not by ``condense``, and a second load
-    reads them back: the same solution, and no argsort of ``tri_edge``."""
+def test_a_second_recover_gives_the_same_solution():
+    """``recover`` keeps nothing on the ``Condensed``: a second load on it
+    gives the same solution to the last bit."""
     space, rhs_u = assemble(uniform_refine(lshape_mesh(), 2),
                             ProblemSpec(f=smooth_f))
     cond = condense(space)
-    assert cond._by_edge is None and cond._abs_mass is None
     first = recover(cond, rhs_u)
-    kept = cond._by_edge, cond._abs_mass
-    sorts = []
-    argsort = np.argsort
-    monkeypatch.setattr(np, "argsort",
-                        lambda *a, **k: sorts.append(a) or argsort(*a, **k))
     second = recover(cond, rhs_u)
-    assert not sorts
-    assert cond._by_edge is kept[0] and cond._abs_mass is kept[1]
     assert np.array_equal(second.sigma.values, first.sigma.values)
     assert np.array_equal(second.u.values, first.u.values)
+
+
+def test_a_mesh_with_no_interior_edge_solves():
+    """One triangle has no multiplier: no pass runs, SuperLU factors an
+    empty matrix, and the closed forms give sigma_E = s f_T / 3 and
+    u_T = f_T sum_i |e_i|^2 / (144 |T|), with f_T = |T| = 1/2."""
+    m = load_mesh("amfemmesh 1\n3 1\n0 0\n1 0\n0 1\n0 1 2 -\n")
+    sol = solve_poisson(m, ProblemSpec(f=lambda x, y: np.ones_like(x)))
+    assert sol.n_multipliers == sol.factor_nnz == sol.factor_rows == 0
+    assert np.allclose(sol.sigma.values[m.tri_edge[0]], m.tri_sign[0] / 6.0,
+                       rtol=1e-14, atol=0.0)
+    assert sol.u.values == pytest.approx([1.0 / 36.0], rel=1e-14)
 
 
 def test_conservation_defect_matches_recomputation():

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from amfem import cli
 from amfem.adapt import HISTORY_COLUMNS
 from amfem.estimator import oscillation
 from amfem.fespace import dof_from_text
@@ -463,6 +464,20 @@ def test_usage_errors_exit_one(tmp_path, args):
     assert res.returncode == 1
     assert "error:" in res.stderr and "Traceback" not in res.stderr
     assert not out.exists()
+
+
+def test_a_key_error_inside_a_driver_is_not_a_usage_error(tmp_path,
+                                                           monkeypatch):
+    """Unknown --benchmark and --suite names are rejected by the parser, so
+    a KeyError raised by a driver is a defect: it leaves ``main`` with its
+    traceback instead of exiting 1 as a usage error."""
+    def defect(*args, **kwargs):
+        raise KeyError("defect")
+
+    monkeypatch.setattr(cli, "amfem", defect)
+    with pytest.raises(KeyError, match="defect"):
+        cli.main(["adapt", "--benchmark", "smooth_square",
+                  "--out", str(tmp_path)])
 
 
 @pytest.mark.parametrize("argv,options", [
