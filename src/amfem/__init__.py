@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .mesh import (Mesh, MeshFormatError, NotNestedError, load_mesh,
                    save_mesh, refine_edges, uniform_refine)
 from .sources import FunctionSource, P0Source, as_source
-from .fespace import (RTSpace, DofVector, interpolate_rt, prolongate,
-                      curl_matrix)
+from .fespace import RTSpace, DofVector, interpolate_rt, prolongate
 from .assembly import (ProblemSpec, MixedSolution, SolverError, assemble,
                        solve, solve_poisson, error_sigma)
 from .estimator import EstimatorReport, oscillation, estimate

@@ -15,11 +15,13 @@ Outputs land in the directory given by --out (or the AMFEM_OUT environment
 variable).  Every run writes a run.meta with the options of the command
 that ran, as they took effect, the library versions and the options that
 took no effect (unused_options): the loop options of a uniform study,
-quad_degree where the load is piecewise constant, and the seed of a check
-whose suites draw no random numbers.  A solve also records the number of
-multipliers, the values its factor stores, SuperLU's plus each
-elimination pass's coupling block and diagonal, and the rows SuperLU
-factors (n_multipliers, factor_nnz, factor_rows).  A --config file holds
+quad_degree where the load is piecewise constant, theta_tilde and mu where
+the loop's data has no oscillation (a piecewise-constant load, or
+--two-stage), and the seed of a check whose suites draw no random
+numbers.  A solve also records the number of multipliers, the values its
+factor stores, SuperLU's plus each elimination pass's coupling block and
+diagonal, and the rows SuperLU factors (n_multipliers, factor_nnz,
+factor_rows).  A --config file holds
 key=value lines whose keys are the command's own long options (theta_tilde
 or theta-tilde); they are parsed like flags placed before the command line
 ones, so explicit flags win, and an unknown key or one that belongs to
@@ -217,13 +219,17 @@ def _suites(args):
 def _unused_options(args):
     """The options of the command that ran which took no effect: a uniform
     study reads none of the loop options, a piecewise-constant load no
-    quad_degree, and a check whose suites draw no random numbers no seed."""
+    quad_degree, a loop on data with no oscillation (a piecewise-constant
+    load, or the second stage of --two-stage) no theta_tilde or mu, and a
+    check whose suites draw no random numbers no seed."""
     opts = vars(args)
     if args.command == "check":
         return [] if any(map(suite_draws, _suites(args))) else ["seed"]
     unused = ["quad_degree"] if opts.get("_exact_load") else []
     if opts.get("mode") == "uniform":
         unused += [name for name in asdict(AdaptParams()) if name in opts]
+    elif "mu" in opts and (opts.get("_exact_load") or opts.get("two_stage")):
+        unused += ["mu", "theta_tilde"]
     return sorted(unused)
 
 

@@ -42,25 +42,19 @@ class EstimatorReport:
         return float(self.osc2_tris.sum())
 
 
-def _jumps_from_affine(mesh, a0, c):
+def _eta2_from_affine(mesh, a0, c):
     pa = mesh.points[mesh.edge_verts[:, 0]]
     pb = mesh.points[mesh.edge_verts[:, 1]]
     t = (pb - pa) / mesh.edge_len[:, None]
-
-    def trace(side, pts):
-        tri = mesh.edge_tri[:, side]
+    # each side's tangential trace at both endpoints, zero on the missing
+    # side of a boundary edge
+    ends = np.stack([pa, pb])
+    traces = []
+    for tri in mesh.edge_tri.T:
         pos = np.maximum(tri, 0)
-        sig = a0[pos] + c[pos, None] * pts
-        vals = (sig * t).sum(axis=1)
-        return np.where(tri >= 0, vals, 0.0)
-
-    ja = trace(0, pa) - trace(1, pa)
-    jb = trace(0, pb) - trace(1, pb)
-    return ja, jb
-
-
-def _eta2_from_affine(mesh, a0, c):
-    ja, jb = _jumps_from_affine(mesh, a0, c)
+        sig = a0[pos] + c[pos, None] * ends
+        traces.append(np.where(tri >= 0, (sig * t).sum(axis=-1), 0.0))
+    ja, jb = traces[0] - traces[1]
     g, w = quadrature.edge_rule()
     jump2 = np.zeros(mesh.ne)
     for gi, wi in zip(g, w):

@@ -16,9 +16,8 @@ is identically zero, so the divergence matrix has entries +-1.
 The flux mass is per triangle: ``RTSpace.mass_blocks`` derives the local
 masses M_T from the element kernel ``RTSpace.element_blocks`` that the
 solve reads, and ``RTSpace.mass_inner`` is the flux inner product.  The
-sparse ``curl_matrix``, ``div_matrix`` and ``rt_mass_matrix`` (the scatter
-of M_T) serve the checks, not the solve, and import scipy.sparse when
-called.  The P0 projection of f is ``cell_means``.
+sparse ``div_matrix`` serves the checks, not the solve, and imports
+scipy.sparse when called.  The P0 projection of f is ``cell_means``.
 """
 from __future__ import annotations
 
@@ -30,8 +29,7 @@ from . import quadrature
 from .mesh import Mesh, ancestor_map
 
 __all__ = ["RTSpace", "DofVector", "interpolate_rt", "prolongate",
-           "rt_mass_matrix", "div_matrix", "curl_matrix", "dof_to_text",
-           "dof_from_text"]
+           "div_matrix", "dof_to_text", "dof_from_text"]
 
 
 class RTSpace:
@@ -190,18 +188,7 @@ def prolongate(dof: DofVector, fine: Mesh) -> DofVector:
     return DofVector("RT", vals, fine)
 
 
-# -- matrices ---------------------------------------------------------------
-
-def rt_mass_matrix(space: RTSpace):
-    """Sparse flux mass matrix M_ij = integral of phi_i . phi_j, the
-    scatter of ``RTSpace.mass_blocks``."""
-    import scipy.sparse as sp
-    m = space.mesh
-    rows = np.repeat(m.tri_edge, 3, axis=1).ravel()
-    cols = np.tile(m.tri_edge, (1, 3)).ravel()
-    return sp.coo_matrix((space.mass_blocks().ravel(), (rows, cols)),
-                         shape=(m.ne, m.ne)).tocsr()
-
+# -- the divergence --------------------------------------------------------
 
 def div_matrix(space: RTSpace):
     """Sparse matrix B with (B sigma)_T = integral of div sigma over T;
@@ -213,13 +200,3 @@ def div_matrix(space: RTSpace):
     vals = m.tri_sign.ravel().astype(float)
     return sp.coo_matrix((vals, (rows, cols)), shape=(m.nt, m.ne)).tocsr()
 
-
-def curl_matrix(mesh: Mesh):
-    """Sparse (ne, nv) matrix C: C psi holds the fluxes of the rotated
-    gradient (d/dy, -d/dx) of the P1 field psi.  The flux through edge
-    (a, b) is the integral of the tangential derivative, psi(b) - psi(a)."""
-    import scipy.sparse as sp
-    rows = np.repeat(np.arange(mesh.ne), 2)
-    vals = np.tile([-1.0, 1.0], mesh.ne)
-    return sp.coo_matrix((vals, (rows, mesh.edge_verts.ravel())),
-                         shape=(mesh.ne, mesh.nv)).tocsr()

@@ -90,8 +90,7 @@ class FunctionSource:
 
     def cell_osc2(self, mesh):
         """Per live triangle, the squared L2 distance of f to its mean."""
-        osc2 = mesh.tri_area * self._records(mesh)[1]
-        return np.maximum(osc2, 0.0)
+        return mesh.tri_area * self._records(mesh)[1]
 
 
 class P0Source:

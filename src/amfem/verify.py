@@ -26,8 +26,8 @@ from . import assembly
 from .assembly import (ProblemSpec, _quad_norm2_diff, condense, error_sigma,
                        recover, solve_poisson)
 from .estimator import estimate, indicator_edges
-from .fespace import (DofVector, RTSpace, curl_matrix, div_matrix,
-                      interpolate_rt, prolongate, rt_mass_matrix)
+from .fespace import (DofVector, RTSpace, div_matrix, interpolate_rt,
+                      prolongate)
 from .mesh import load_mesh, triangle_angles, uniform_refine
 from .sources import P0Source, as_source
 
@@ -288,10 +288,12 @@ def helmholtz_split(space, fields):
     """Split each row of ``fields`` (k, ne) into the curl of a P1 field plus
     the discrete gradient of a P0 field; returns (psi, phi, curl_part,
     grad_part) as arrays of shapes (k, nv), (k, nt), (k, ne) and (k, ne).
-    One mass matrix, one curl matrix, one Crouzeix-Raviart factorization
-    and one P1 factorization serve all rows."""
-    mesh = space.mesh
-    M, B = rt_mass_matrix(space), div_matrix(space)
+    One Crouzeix-Raviart and one P1 factorization serve all rows.  On a
+    triangle the curl of vertex i's hat function is e_i / (2|T|), so the P1
+    stiffness is Q_T / 4 and a flux tau loads vertex i with
+    e_i . integral of tau / (2|T|)."""
+    import scipy.sparse as sp
+    mesh, B = space.mesh, div_matrix(space)
     # the gradient part is the mixed solution with load div sigma; its
     # potential is phi = -u.  Every row's recovery runs the solver's
     # residual and conservation checks, against the space's local masses.
@@ -299,11 +301,23 @@ def helmholtz_split(space, fields):
     sols = [recover(cond, B @ v) for v in fields]
     grad = np.array([sol.sigma.values for sol in sols])
     phi = -np.array([sol.u.values for sol in sols])
+    # local vertex i is opposite local edge i; the integral of tau over T
+    # is sum_j s_j tau_j (c - P_j) / 2 for the centroid c
+    V, P = mesh.tri_verts[mesh.live], space.opp_coords()
+    e = P[:, [2, 0, 1]] - P[:, [1, 2, 0]]
+    tau = (fields - grad)[:, mesh.tri_edge] * mesh.tri_sign
+    integral = np.einsum("kti,tix->ktx", tau, P.mean(axis=1)[:, None] - P) / 2
+    load = np.zeros((mesh.nv, len(fields)))
+    np.add.at(load, V, np.einsum("tix,ktx->tik", e, integral)
+              / (2.0 * mesh.tri_area[:, None, None]))
     # psi = 0 at vertex 0 pins the kernel of the curl, the constants
-    C = curl_matrix(mesh)[:, 1:]
-    psi = assembly.spla.splu((C.T @ M @ C).tocsc()).solve(
-        C.T @ (M @ (fields - grad).T))
-    return np.pad(psi.T, ((0, 0), (1, 0))), phi, (C @ psi).T, grad
+    K = sp.coo_matrix(((space.element_blocks() / 4.0).ravel(),
+                       (np.repeat(V, 3, axis=1).ravel(),
+                        np.tile(V, (1, 3)).ravel())),
+                      shape=(mesh.nv, mesh.nv)).tocsc()[1:, 1:]
+    psi = np.pad(assembly.spla.splu(K).solve(load[1:]).T, ((0, 0), (1, 0)))
+    a, b = mesh.edge_verts.T
+    return psi, phi, psi[:, b] - psi[:, a], grad
 
 
 def check_helmholtz(mesh, seed=0):
@@ -316,7 +330,8 @@ def check_helmholtz(mesh, seed=0):
     space = RTSpace(mesh)
     sigma = rng.standard_normal((10, mesh.ne))
     # a pure rotational field must come back with no gradient part
-    curl0 = curl_matrix(mesh) @ rng.standard_normal(mesh.nv)
+    psi0 = rng.standard_normal(mesh.nv)
+    curl0 = psi0[mesh.edge_verts[:, 1]] - psi0[mesh.edge_verts[:, 0]]
     _, _, cpart, gpart = helmholtz_split(space, np.vstack([sigma, curl0]))
 
     def norm(a):

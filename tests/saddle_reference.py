@@ -5,7 +5,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from amfem.fespace import div_matrix, rt_mass_matrix
+from amfem.fespace import div_matrix
+from mass_reference import rt_mass_matrix
 
 
 def solve(space, rhs_u):

@@ -6,7 +6,7 @@ import pytest
 from amfem.adapt import AdaptParams, amfem
 from amfem.assembly import (ProblemSpec, SolverError, assemble, condense,
                             error_sigma, recover, solve, solve_poisson)
-from amfem.fespace import RTSpace, div_matrix, rt_mass_matrix
+from amfem.fespace import RTSpace, div_matrix
 from amfem.mesh import load_mesh, uniform_refine
 from amfem.sources import FunctionSource, P0Source
 from amfem.verify import (benchmark, lshape_mesh, smooth_f, smooth_sigma,
@@ -27,11 +27,11 @@ def test_unit_load_rhs():
 def test_system_shapes_and_symmetry():
     m = uniform_refine(unit_square_mesh(), 2)
     space, _ = assemble(m, ProblemSpec(f=smooth_f))
-    assert rt_mass_matrix(space).shape == (m.ne, m.ne)
+    M = space.mass_blocks()
+    assert M.shape == (m.nt, 3, 3)
     assert div_matrix(space).shape == (m.nt, m.ne)
-    M = rt_mass_matrix(space).toarray()
-    assert np.allclose(M, M.T, atol=1e-15)
-    # the mass matrix is positive definite
+    assert np.allclose(M, M.transpose(0, 2, 1), atol=1e-15)
+    # every local mass, and so the mass matrix, is positive definite
     assert np.all(np.linalg.eigvalsh(M) > 0)
 
 
@@ -130,7 +130,7 @@ def test_energy_identity():
     m = uniform_refine(unit_square_mesh(), 2)
     space, rhs_u = assemble(m, ProblemSpec(f=smooth_f))
     sol = solve(space, rhs_u)
-    lhs = sol.sigma.values @ (rt_mass_matrix(space) @ sol.sigma.values)
+    lhs = space.mass_inner(sol.sigma.values, sol.sigma.values)
     rhs = sol.u.values @ rhs_u
     assert lhs == pytest.approx(rhs, rel=1e-12)
 

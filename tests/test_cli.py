@@ -68,6 +68,17 @@ def test_solve_writes_loadable_artifacts(tmp_path):
     assert meta["unused_options"] == ""
 
 
+def test_solve_eta_csv_matches_golden_to_the_last_bit(tmp_path):
+    """Every squared edge indicator of two uniform rounds of the L-shape,
+    as ``repr(float)``."""
+    res = run_cli("solve", "--benchmark", "lshape_sing", "--refine-uniform",
+                  "2", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    golden = os.path.join(os.path.dirname(GOLDEN), "eta_lshape_u2.csv")
+    with open(golden) as fh:
+        assert (tmp_path / "eta.csv").read_text() == fh.read()
+
+
 def test_solve_rejects_benchmark_and_mesh_together(tmp_path):
     mesh_file = tmp_path / "m.txt"
     mesh_file.write_text("amfemmesh 1\n3 1\n0 0\n1 0\n0 1\n0 1 2 -\n")
@@ -207,10 +218,11 @@ def test_adapt_two_stage_records_the_stage_settings(tmp_path):
     assert meta["stage1_max_iters"] == "100"
     assert meta["stage1_epsilon"] == "0.15"
     assert meta["stage2_epsilon"] == "0.15"
-    # stage 2 runs with the options given: theta_tilde and mu took effect
+    # stage 2 runs with the options given, on piecewise constant data:
+    # its oscillation is zero, so theta_tilde and mu never come into play
     assert "stage2_theta_tilde" not in meta and "stage2_mu" not in meta
     assert meta["theta_tilde"] == "0.5" and meta["mu"] == "0.7"
-    assert meta["unused_options"] == ""
+    assert meta["unused_options"] == "mu,theta_tilde"
     # the plain loop reads theta_tilde and mu and records no stages
     res = run_cli("adapt", "--benchmark", "smooth_square", "--epsilon",
                   "0.3", "--out", str(tmp_path / "plain"))
@@ -251,8 +263,10 @@ def test_study_command(tmp_path):
     lines = (tmp_path / "study.csv").read_text().strip().splitlines()
     assert lines[0] == "level,nT,nE,eta2,osc2,err"
     assert len(lines) == 4
-    # checker_const's load is piecewise constant: no quadrature runs
-    assert read_meta(tmp_path)["unused_options"] == "quad_degree"
+    # checker_const's load is piecewise constant: no quadrature runs, and
+    # with no oscillation the loop never reads theta_tilde or mu
+    assert (read_meta(tmp_path)["unused_options"]
+            == "mu,quad_degree,theta_tilde")
 
 
 def test_uniform_study_records_the_loop_options_as_unused(tmp_path):
@@ -512,17 +526,40 @@ def test_run_meta_lists_the_options_of_the_command_only(tmp_path):
     assert meta["unused_options"] == "quad_degree"
 
 
-@pytest.mark.parametrize("argv", [
-    ("solve", "--refine-uniform", "1"),
-    ("adapt", "--epsilon", "0.3"),
-    ("approx", "--epsilon", "1e-3"),
+@pytest.mark.parametrize("argv,unused", [
+    (("solve", "--refine-uniform", "1"), "quad_degree"),
+    (("adapt", "--epsilon", "0.3"), "mu,quad_degree,theta_tilde"),
+    (("approx", "--epsilon", "1e-3"), "quad_degree"),
 ], ids=["solve", "adapt", "approx"])
 def test_a_piecewise_constant_load_records_quad_degree_as_unused(tmp_path,
-                                                                  argv):
+                                                                  argv,
+                                                                  unused):
     command, *rest = argv
     res = run_cli(command, "--benchmark", "checker_const", "--quad-degree",
                   "5", *rest, "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     meta = read_meta(tmp_path)
     assert meta["quad_degree"] == "5"
-    assert meta["unused_options"] == "quad_degree"
+    assert meta["unused_options"] == unused
+
+
+@pytest.mark.parametrize("argv", [
+    ("adapt", "--benchmark", "checker_const", "--epsilon", "0.05"),
+    ("adapt", "--benchmark", "smooth_square", "--epsilon", "0.3",
+     "--two-stage"),
+    ("study", "--benchmark", "checker_const", "--levels", "2"),
+], ids=["adapt", "two_stage", "study"])
+def test_a_zero_oscillation_loop_records_mu_and_theta_tilde_as_unused(
+        tmp_path, argv):
+    """With no oscillation the loop's oscillation marking never runs: the
+    history is the same for any theta_tilde and mu, and run.meta says so."""
+    histories = []
+    given = ("--theta-tilde", "0.95", "--mu", "0.05")
+    for name, options in (("default", ()), ("given", given)):
+        res = run_cli(*argv, *options, "--out", str(tmp_path / name))
+        assert res.returncode == 0, res.stderr
+        unused = read_meta(tmp_path / name)["unused_options"].split(",")
+        assert "mu" in unused and "theta_tilde" in unused
+        rows = (tmp_path / name / "history.csv").read_text().splitlines()
+        histories.append([row.rsplit(",", 1)[0] for row in rows])
+    assert histories[0] == histories[1]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from amfem.assembly import ProblemSpec, solve_poisson
-from amfem.estimator import (EstimatorReport, _jumps_from_affine, estimate,
-                             indicator_edges, oscillation, report_to_csv)
+from amfem.estimator import (EstimatorReport, estimate, indicator_edges,
+                             oscillation, report_to_csv)
 from amfem.fespace import (DofVector, RTSpace, interpolate_rt, prolongate,
                            rt_affine)
 from amfem.mesh import load_mesh, uniform_refine
@@ -38,12 +38,20 @@ def diagonal_basis_field():
 def test_diagonal_basis_jump_values():
     # hand computation: traces along the diagonal are (g, g-1) from the left
     # triangle and (1-g, -g) from the right one, so the tangential jump at
-    # chord parameter g is sqrt(2) (2g - 1); endpoints carry -sqrt2, +sqrt2
+    # chord parameter g is sqrt(2) (2g - 1); endpoints carry -sqrt2, +sqrt2.
+    # The indicator integrates the square of the linear jump between them.
     m, dof = diagonal_basis_field()
-    ja, jb = _jumps_from_affine(m, *rt_affine(RTSpace(m), dof.values))
+    a0, c = rt_affine(RTSpace(m), dof.values)
     e = edge_id(m, 0, 2)
-    assert ja[e] == pytest.approx(-np.sqrt(2.0), abs=1e-14)
-    assert jb[e] == pytest.approx(np.sqrt(2.0), abs=1e-14)
+    pa, pb = m.points[m.edge_verts[e]]
+    left, right = m.edge_tri[e]
+    ja, jb = ((a0[left] + c[left] * p - a0[right] - c[right] * p)
+              @ (pb - pa) / m.edge_len[e] for p in (pa, pb))
+    assert ja == pytest.approx(-np.sqrt(2.0), abs=1e-14)
+    assert jb == pytest.approx(np.sqrt(2.0), abs=1e-14)
+    h = m.edge_len[e]
+    assert indicator_edges(dof)[e] == pytest.approx(
+        h * h * (ja * ja + ja * jb + jb * jb) / 3.0, rel=1e-14)
 
 
 def test_diagonal_basis_indicator_closed_form():

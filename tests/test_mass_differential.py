@@ -1,24 +1,24 @@
 """Differential tests of the closed-form flux mass against the quadrature
-assembly it replaced (``tests/mass_reference.py``): the sparse matrix on
-the three benchmark meshes, two uniform rounds of each, and random nested
-refinements; and the blockwise inner product ``RTSpace.mass_inner`` on the
-random refinements, with and without a save/load round trip, and on the
-unit square."""
+assembly it replaced (``tests/mass_reference.py``): the local masses
+``RTSpace.mass_blocks`` on the three benchmark meshes, two uniform rounds
+of each, and random nested refinements; and the blockwise inner product
+``RTSpace.mass_inner`` on the random refinements, with and without a
+save/load round trip, and on the unit square."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mass_reference
-from amfem.fespace import RTSpace, rt_mass_matrix
+from amfem.fespace import RTSpace
 from amfem.mesh import load_mesh, refine_edges, save_mesh, uniform_refine
 from amfem.verify import benchmark, unit_square_mesh
 from test_nvb_properties import BENCHMARKS, marked_edges, nested_meshes
 
 
 def assert_matches_reference(mesh):
-    got = rt_mass_matrix(RTSpace(mesh)).toarray()
-    want = mass_reference.rt_mass_matrix(RTSpace(mesh)).toarray()
+    got = RTSpace(mesh).mass_blocks()
+    want = mass_reference.local_masses(RTSpace(mesh))
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 

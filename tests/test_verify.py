@@ -5,7 +5,7 @@ import pytest
 
 from amfem.adapt import ConvergenceHistory
 from amfem.assembly import ProblemSpec
-from amfem.fespace import RTSpace, curl_matrix, div_matrix
+from amfem.fespace import RTSpace, div_matrix
 from amfem.mesh import uniform_refine
 from amfem.verify import (SUITES, CheckResult, benchmark, benchmark_names,
                           check_helmholtz, fit_points, fit_rate,
@@ -160,7 +160,8 @@ def test_helmholtz_split_reconstructs():
     assert np.max(np.abs(curl_part + grad_part - sigma)) < 1e-10
     # the curl part is the curl of psi, the gradient part carries all of
     # the divergence
-    assert np.max(np.abs(curl_part - (curl_matrix(m) @ psi.T).T)) < 1e-13
+    a, b = m.edge_verts.T
+    assert np.max(np.abs(curl_part - (psi[:, b] - psi[:, a]))) < 1e-13
     B = div_matrix(RTSpace(m))
     assert np.max(np.abs(B @ (grad_part - sigma).T)) < 1e-10
     # dimensions: ne = (nv - 1) + nt
@@ -173,21 +174,15 @@ def test_check_helmholtz_clean_on_square():
 
 
 def test_check_helmholtz_factors_the_cr_matrix_once(monkeypatch):
-    """One sparse mass matrix, for the P1 matrix, one Crouzeix-Raviart and
-    one P1 factorization per call, both through ``assembly.spla``, and one
-    recovery, with its residual and conservation checks, per field.  The
-    Crouzeix-Raviart factor is of the multipliers the elimination passes
-    leave: 3 of the 40 on this mesh."""
+    """One Crouzeix-Raviart and one P1 factorization per call, both through
+    ``assembly.spla``, and one recovery, with its residual and conservation
+    checks, per field.  The Crouzeix-Raviart factor is of the multipliers
+    the elimination passes leave: 3 of the 40 on this mesh."""
     from types import SimpleNamespace
     from amfem import assembly, verify
     from amfem.fespace import RTSpace
-    built, factored, recovered = [], [], []
-    mass, splu, recover = (verify.rt_mass_matrix, assembly.spla.splu,
-                           verify.recover)
-
-    def counting_mass(space):
-        built.append(space.mesh.nt)
-        return mass(space)
+    factored, recovered = [], []
+    splu, recover = assembly.spla.splu, verify.recover
 
     def counting_splu(A, *args, **kwargs):
         factored.append(A.shape)
@@ -199,12 +194,11 @@ def test_check_helmholtz_factors_the_cr_matrix_once(monkeypatch):
 
     mesh = uniform_refine(unit_square_mesh(), 2)
     n = assembly.condense(RTSpace(mesh)).lu.shape[0]
-    monkeypatch.setattr(verify, "rt_mass_matrix", counting_mass)
     monkeypatch.setattr(assembly, "spla", SimpleNamespace(splu=counting_splu))
     monkeypatch.setattr(verify, "recover", counting_recover)
     results = check_helmholtz(mesh)
     assert all(r.passed for r in results)
-    assert len(built) == 1 and len(recovered) == 11
+    assert len(recovered) == 11
     assert np.count_nonzero(~mesh.edge_boundary) == 40
     assert factored == [(n, n), (mesh.nv - 1, mesh.nv - 1)] == [
         (3, 3), (24, 24)]
