@@ -401,6 +401,7 @@ def two_stage(f, mesh0: Mesh, params: AdaptParams):
     """Data approximation to params.epsilon/2, then the adaptive loop on
     the projected piecewise-constant data to params.epsilon/2.  Returns
     (mesh, solution, history) with stage-tagged records."""
+    params.validate()
     stage1, stage2 = two_stage_settings(params.epsilon)
     src = as_source(f)
     mesh_h, hist = approx(src, mesh0, max_triangles=params.max_triangles,

@@ -12,21 +12,24 @@ Subcommands and the options each one reads (every command also takes
           --max-iters, --max-triangles, --quad-degree
 
 Outputs land in the directory given by --out (or the AMFEM_OUT environment
-variable).  Every run writes a run.meta with the options of the command
-that ran, as they took effect, the library versions and the options that
-took no effect (unused_options): the loop options of a uniform study,
+variable).  A command computes its outputs; main makes the directory and
+writes them and run.meta once the command has finished, so a command that
+fails writes nothing.  Every run writes a run.meta with the options of the
+command that ran, as they took effect, the library versions and the options
+that took no effect (unused_options): the loop options of a uniform study,
 quad_degree where the load is piecewise constant, theta_tilde and mu where
 the loop's data has no oscillation (a piecewise-constant load, or
 --two-stage), and the seed of a check whose suites draw no random
 numbers.  A solve also records the number of multipliers, the values its
 factor stores, SuperLU's plus each elimination pass's coupling block and
 diagonal, and the rows SuperLU factors (n_multipliers, factor_nnz,
-factor_rows).  A --config file holds
-key=value lines whose keys are the command's own long options (theta_tilde
-or theta-tilde); they are parsed like flags placed before the command line
-ones, so explicit flags win, and an unknown key or one that belongs to
-another command is an error.  A boolean such as two_stage takes 0, 1, true
-or false.  Options must be spelled in full.
+factor_rows); adapt records its status and iterations, the number of
+history rows that refined (both stages' with --two-stage).  A --config
+file holds key=value lines whose keys are the command's own long options
+(theta_tilde or theta-tilde); they are parsed like flags placed before the
+command line ones, so explicit flags win, and an unknown key or one that
+belongs to another command is an error.  A boolean such as two_stage takes
+0, 1, true or false.  Options must be spelled in full.
 
 Exit codes: 0 success, 1 usage, configuration or input parse error,
 2 solver failure, 3 a check suite reported a failed assertion.
@@ -202,14 +205,13 @@ def _params(args, epsilon):
     """The loop's parameters: the parsed options and this tolerance."""
     given = {name: getattr(args, name) for name in asdict(AdaptParams())
              if name != "epsilon"}
-    return AdaptParams(epsilon=epsilon, **given).validate()
+    return AdaptParams(epsilon=epsilon, **given)
 
 
 def _write(outdir, name, text):
     path = os.path.join(outdir, name)
     with open(path, "w") as fh:
         fh.write(text)
-    return path
 
 
 def _suites(args):
@@ -233,7 +235,7 @@ def _unused_options(args):
     return sorted(unused)
 
 
-def _write_meta(args, wall_ms, extra=None):
+def _write_meta(args, wall_ms, extra):
     opts = vars(args)
     lines = ["command=%s" % args.command]
     for key in sorted(opts):
@@ -249,31 +251,29 @@ def _write_meta(args, wall_ms, extra=None):
         lines.append("solver=%s" % SOLVER)
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     lines.append("peak_rss_mb=%.1f" % (peak_kib / 1024.0))
-    for key, val in (extra or {}).items():
+    for key, val in extra.items():
         lines.append("%s=%s" % (key, val))
     _write(args.out, "run.meta", "\n".join(lines) + "\n")
 
 
-def _emit_solution(out, sol, problem):
-    """Estimate and write the final solution; returns its summary."""
+def _solution_files(sol, problem):
+    """The final solution's files, estimated against the problem's load
+    and exact flux, and its summary."""
     mesh = sol.mesh
     report = estimate(sol, as_source(problem.f))
     err = error_sigma(sol, problem.sigma_exact)
-    _write(out, "mesh.txt", save_mesh(mesh))
-    _write(out, "sigma.dof", dof_to_text(sol.sigma))
-    _write(out, "u.dof", dof_to_text(sol.u))
     eta_csv, osc_csv = report_to_csv(report)
-    _write(out, "eta.csv", eta_csv)
-    _write(out, "osc.csv", osc_csv)
-    return ("nT=%d nE=%d eta2=%s osc2=%s err=%s"
-            % (mesh.nt, mesh.ne, repr(report.eta2_total),
-               repr(report.osc2_total), repr(float(err))))
+    files = {"mesh.txt": save_mesh(mesh), "sigma.dof": dof_to_text(sol.sigma),
+             "u.dof": dof_to_text(sol.u), "eta.csv": eta_csv,
+             "osc.csv": osc_csv}
+    return files, ("nT=%d nE=%d eta2=%s osc2=%s err=%s"
+                   % (mesh.nt, mesh.ne, repr(report.eta2_total),
+                      repr(report.osc2_total), repr(float(err))))
 
 
 def _cmd_solve(args):
     if bool(args.benchmark) == bool(args.mesh):
         raise ConfigError("solve needs exactly one of --benchmark or --mesh")
-    t0 = time.perf_counter()
     if args.benchmark:
         mesh, problem = _make(args)
         label = args.benchmark
@@ -285,14 +285,10 @@ def _cmd_solve(args):
         label = args.mesh
     mesh = uniform_refine(mesh, args.refine_uniform)
     sol = solve_poisson(mesh, problem)
-    os.makedirs(args.out, exist_ok=True)
-    line = "solve %s %s" % (label, _emit_solution(args.out, sol, problem))
-    _write_meta(args, (time.perf_counter() - t0) * 1e3,
-                {"n_multipliers": sol.n_multipliers,
-                 "factor_nnz": sol.factor_nnz,
-                 "factor_rows": sol.factor_rows})
-    print(line)
-    return 0
+    files, summary = _solution_files(sol, problem)
+    extra = {"n_multipliers": sol.n_multipliers,
+             "factor_nnz": sol.factor_nnz, "factor_rows": sol.factor_rows}
+    return files, extra, "solve %s %s" % (label, summary), 0
 
 
 def _load_solver():
@@ -303,7 +299,6 @@ def _load_solver():
 
 
 def _cmd_adapt(args):
-    t0 = time.perf_counter()
     _load_solver()
     mesh0, problem = _make(args)
     params = _params(args, args.epsilon)
@@ -318,63 +313,53 @@ def _cmd_adapt(args):
                           for key, val in sorted(settings.items()))
     else:
         _, sol, hist = amfem(mesh0, problem, params)
-    os.makedirs(args.out, exist_ok=True)
-    _write(args.out, "history.csv", hist.to_csv())
-    summary = _emit_solution(args.out, sol, problem)
-    extra = {"status": hist.status, "iterations": len(hist.records) - 1,
+    files, summary = _solution_files(sol, problem)
+    # the last row of each stage does not refine
+    extra = {"status": hist.status,
+             "iterations": sum(r.n_bisected > 0 for r in hist.records),
              **stages}
     try:
         extra["rate_s"] = "%r" % fit_rate(hist, "eta").s
     except ValueError:
         pass
-    _write_meta(args, (time.perf_counter() - t0) * 1e3, extra)
-    print("adapt %s status=%s %s" % (args.benchmark, hist.status, summary))
-    return 0
+    return ({"history.csv": hist.to_csv(), **files}, extra,
+            "adapt %s status=%s %s" % (args.benchmark, hist.status, summary),
+            0)
 
 
 def _cmd_approx(args):
-    t0 = time.perf_counter()
     mesh0, problem = _make(args)
     mesh, hist = approx(problem.f, mesh0, args.epsilon,
                         theta_osc=args.theta_osc,
                         max_triangles=args.max_triangles)
-    os.makedirs(args.out, exist_ok=True)
-    _write(args.out, "history.csv", hist.to_csv())
-    _write(args.out, "mesh.txt", save_mesh(mesh))
-    _write_meta(args, (time.perf_counter() - t0) * 1e3,
-                {"status": hist.status})
     last = hist.records[-1]
-    print("approx %s status=%s nT=%d osc2=%s"
-          % (args.benchmark, hist.status, last.nT, repr(last.osc2)))
-    return 0
+    return ({"history.csv": hist.to_csv(), "mesh.txt": save_mesh(mesh)},
+            {"status": hist.status},
+            "approx %s status=%s nT=%d osc2=%s"
+            % (args.benchmark, hist.status, last.nT, repr(last.osc2)), 0)
 
 
 def _cmd_check(args):
-    t0 = time.perf_counter()
     names = _suites(args)
-    os.makedirs(args.out, exist_ok=True)
+    files = {}
     failed = 0
     for name in names:
         results = run_suite(name, seed=args.seed)
-        _write(args.out, "check_%s.csv" % name, suite_csv(results))
+        files["check_%s.csv" % name] = suite_csv(results)
         for r in results:
             ok = "PASS" if r.passed else "FAIL"
             print("%s %s value=%r threshold=%r" % (ok, r.check, r.value,
                                                    r.threshold))
             failed += 0 if r.passed else 1
-    _write_meta(args, (time.perf_counter() - t0) * 1e3,
-                {"suites": "+".join(names), "failed": failed})
+    extra = {"suites": "+".join(names), "failed": failed}
     if failed:
-        print("check: %d failed assertion(s)" % failed)
-        return 3
-    print("check: all passed")
-    return 0
+        return files, extra, "check: %d failed assertion(s)" % failed, 3
+    return files, extra, "check: all passed", 0
 
 
 def _cmd_study(args):
     if args.levels < 1:
         raise ConfigError("levels must be at least 1")
-    t0 = time.perf_counter()
     _load_solver()
     mesh0, problem = _make(args)
     levels = args.levels
@@ -401,16 +386,14 @@ def _cmd_study(args):
         extra["rate_s"] = "%r" % fit_points(ns, vals).s
     except ValueError:
         pass
-    os.makedirs(args.out, exist_ok=True)
-    _write(args.out, "history.csv", hist.to_csv())
-    _write(args.out, "study.csv", "\n".join(lines) + "\n")
-    _write_meta(args, (time.perf_counter() - t0) * 1e3, extra)
-    print("study %s mode=%s levels=%d%s"
-          % (args.benchmark, args.mode, len(records),
-             " s=%s" % extra.get("rate_s", "") if extra else ""))
-    return 0
+    return ({"history.csv": hist.to_csv(),
+             "study.csv": "\n".join(lines) + "\n"}, extra,
+            "study %s mode=%s levels=%d%s"
+            % (args.benchmark, args.mode, len(records),
+               " s=%s" % extra.get("rate_s", "") if extra else ""), 0)
 
 
+# each returns (files, run.meta entries, summary line, exit code)
 _COMMANDS = {"solve": _cmd_solve, "adapt": _cmd_adapt, "approx": _cmd_approx,
              "check": _cmd_check, "study": _cmd_study}
 
@@ -419,7 +402,14 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse(argv)
-        return _COMMANDS[args.command](args)
+        t0 = time.perf_counter()
+        files, extra, line, code = _COMMANDS[args.command](args)
+        os.makedirs(args.out, exist_ok=True)
+        for name, text in files.items():
+            _write(args.out, name, text)
+        _write_meta(args, (time.perf_counter() - t0) * 1e3, extra)
+        print(line)
+        return code
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

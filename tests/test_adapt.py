@@ -326,6 +326,17 @@ def test_two_stage_matches_plain_loop_on_p0_data():
         assert ra.eta2 == pytest.approx(rb.eta2, rel=1e-12, abs=1e-300)
 
 
+def test_two_stage_validates_before_its_first_stage(monkeypatch):
+    from amfem import adapt
+    calls = []
+    monkeypatch.setattr(adapt, "approx",
+                        lambda *a, **kw: calls.append(a) or approx(*a, **kw))
+    mesh0, prob = benchmark("smooth_square").make()
+    with pytest.raises(ValueError, match="theta must lie"):
+        two_stage(prob.f, mesh0, AdaptParams(epsilon=0.01, theta=5.0))
+    assert calls == []
+
+
 def test_two_stage_smooth_runs_both_stages():
     mesh0, prob = benchmark("smooth_square").make()
     mesh, sol, hist = two_stage(prob.f, mesh0, AdaptParams(epsilon=0.25))

@@ -494,6 +494,35 @@ def test_a_key_error_inside_a_driver_is_not_a_usage_error(tmp_path,
                   "--out", str(tmp_path)])
 
 
+def test_two_stage_iterations_count_the_refinements(tmp_path):
+    """The hand-over from stage 1 to stage 2 refines nothing: iterations
+    counts the rows that refined, the last row of each stage excluded."""
+    res = run_cli("adapt", "--benchmark", "smooth_square", "--epsilon",
+                  "0.3", "--two-stage", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    rows = (tmp_path / "history.csv").read_text().splitlines()[1:]
+    stages = [row.split(",")[1] for row in rows]
+    # approx refines at k = 0..21 of its 23 rows, amfem at k = 0..11 of 13
+    assert stages.count("approx") == 23 and stages.count("amfem") == 13
+    assert read_meta(tmp_path)["iterations"] == "34"
+
+
+@pytest.mark.parametrize("argv,driver", [
+    (["check", "--suite", "marking"], "run_suite"),
+    (["adapt", "--benchmark", "smooth_square", "--epsilon", "0.3"], "amfem"),
+], ids=["check", "adapt"])
+def test_a_failed_command_writes_nothing(tmp_path, monkeypatch, argv, driver):
+    from amfem.assembly import SolverError
+
+    def fail(*args, seed=0, **kwargs):     # the parser reads seed's default
+        raise SolverError("injected")
+
+    monkeypatch.setattr(cli, driver, fail)
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,options", [
     (["solve"], "benchmark mesh refine_uniform quad_degree"),
     (["adapt", "--benchmark", "smooth_square"],
