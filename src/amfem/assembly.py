@@ -25,7 +25,8 @@ vertex i, s = tri_sign, |T| = tri_area and f_T = rhs_u[T]:
 These closed forms are the inverse of the local block [[M_T, -1], [1, 0]],
 so (sigma, u) is the solution of the unreduced system to roundoff.  It is
 checked against the unreduced blocks after every solve: the residual of
-both block rows, and div sigma = (cell mean of f) elementwise.  They read
+both block rows, and div sigma = (cell mean of f) elementwise, on the
+problem with its load scaled to unit norm by a power of two.  They read
 M_T and the signs s triangle by triangle and sum with numpy, so no BLAS
 thread count moves their bits.  No sparse M or B is built, and M_T is
 first computed after the factorization, which sets the memory peak.
@@ -69,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .fespace import DofVector, RTSpace, prolongate, rt_affine
+from .fespace import DofVector, RTSpace, rt_affine
 from .mesh import Mesh
 from .sources import as_source
 
@@ -115,7 +116,7 @@ class MixedSolution:
     sigma: DofVector
     u: DofVector
     space: RTSpace          # the flux space the system was assembled on
-    residual_sigma: float
+    residual_sigma: float   # the checks, at unit load scale (``recover``)
     residual_u: float
     conservation_defect: float
     n_multipliers: int      # size of S, the eliminated multipliers too
@@ -318,7 +319,8 @@ def _multiplier_system(space: RTSpace):
     mesh = space.mesh
     order = _elimination_order(mesh)
     n = order.size
-    ipos = np.full(mesh.ne, -1, dtype=np.int64)
+    # int32 numbers halve L and the triplets' rows and columns
+    ipos = np.full(mesh.ne, -1, dtype=np.int32)
     ipos[order] = np.arange(n)
     L = ipos[mesh.tri_edge]
     Q = space.element_blocks()
@@ -376,7 +378,14 @@ def _backward_error(r, scale):
 def recover(cond: Condensed, rhs_u) -> MixedSolution:
     """The per-load half of ``solve`` on the space ``cond`` was condensed
     from: the multipliers of the load ``rhs_u``, (sigma, u) elementwise, and
-    the residual and conservation checks against the unreduced blocks."""
+    the residual and conservation checks against the unreduced blocks.
+    S does not depend on the load, so the load is scaled by the power of
+    two 2^-k that puts its norm in [1/2, 1), the solve and every check run
+    at that unit scale, and sigma and u are scaled back by 2^k: exact
+    steps, which keep every bit of sigma and u and make each residual
+    below mean the same at every data and length scale."""
+    k = np.frexp(_norm(rhs_u))[1]
+    rhs_u = np.ldexp(rhs_u, -k)
     space = cond.space
     mesh = space.mesh
     E, s, L = mesh.tri_edge, mesh.tri_sign, cond.L
@@ -406,12 +415,12 @@ def recover(cond: Condensed, rhs_u) -> MixedSolution:
     div = np.take_along_axis(s * sig_E, np.argsort(E, axis=1), axis=1)
     r2 = div.sum(axis=1) - rhs_u
     flux_scale = np.abs(div).sum(axis=1)
-    # the first block row has no load, so its residual is relative to 1
+    # the first block row has no load, so its residual is relative to 1,
+    # the size of the load at unit scale
     res_sigma = _norm(r1)
     res_u = _norm(r2) / (1.0 + _norm(rhs_u))
     # the same rows relative to the magnitudes summed in them (Oettli &
-    # Prager, Numer. Math. 6, 1964), which, unlike the residuals above,
-    # do not pass a wrong flux below unit data
+    # Prager, Numer. Math. 6, 1964)
     back_sigma = _backward_error(r1, scale1)
     back_u = _backward_error(r2, flux_scale + np.abs(rhs_u))
     if max(res_sigma, res_u, back_sigma, back_u) > 1e-10:
@@ -426,9 +435,10 @@ def recover(cond: Condensed, rhs_u) -> MixedSolution:
     if defect > CONSERVATION_TOL:
         raise SolverError("conservation defect %.3e exceeds %.1e"
                           % (defect, CONSERVATION_TOL))
-    return MixedSolution(DofVector("RT", sig, mesh), DofVector("P0", u, mesh),
-                         space, float(res_sigma), float(res_u), float(defect),
-                         n, cond.nnz, cond.lu.shape[0])
+    return MixedSolution(DofVector("RT", np.ldexp(sig, k), mesh),
+                         DofVector("P0", np.ldexp(u, k), mesh), space,
+                         float(res_sigma), float(res_u), float(defect), n,
+                         cond.nnz, cond.lu.shape[0])
 
 
 def solve(space: RTSpace, rhs_u) -> MixedSolution:
@@ -450,15 +460,12 @@ def _quad_norm2_diff(space, a0, c, tau):
     return (dx ** 2 + dy ** 2) @ w * space.mesh.tri_area
 
 
-def error_sigma(sol: MixedSolution, reference) -> float:
-    """L2 flux error against an exact field (vectorized callable returning
-    the two components) or a discrete solution on a nested finer mesh; NaN
-    when ``reference`` is None, a problem without an exact flux."""
-    if reference is None:
+def error_sigma(sol: MixedSolution, sigma_exact) -> float:
+    """L2 flux error against the exact flux ``sigma_exact``, a vectorized
+    callable returning the two components; NaN when it is None, a problem
+    without an exact flux."""
+    if sigma_exact is None:
         return float("nan")
-    if isinstance(reference, MixedSolution):
-        d = (reference.sigma.values
-             - prolongate(sol.sigma, reference.mesh).values)
-        return float(np.sqrt(max(reference.space.mass_inner(d, d), 0.0)))
     a0, c = sol.affine()
-    return float(np.sqrt(_quad_norm2_diff(sol.space, a0, c, reference).sum()))
+    return float(np.sqrt(_quad_norm2_diff(sol.space, a0, c,
+                                          sigma_exact).sum()))

@@ -319,7 +319,7 @@ def _cmd_adapt(args):
              "iterations": sum(r.n_bisected > 0 for r in hist.records),
              **stages}
     try:
-        extra["rate_s"] = "%r" % fit_rate(hist, "eta").s
+        extra["rate_s"] = "%r" % fit_rate(hist, "eta")
     except ValueError:
         pass
     return ({"history.csv": hist.to_csv(), **files}, extra,
@@ -383,7 +383,7 @@ def _cmd_study(args):
     vals = [np.sqrt(r.eta2) for r in records]
     extra = {}
     try:
-        extra["rate_s"] = "%r" % fit_points(ns, vals).s
+        extra["rate_s"] = "%r" % fit_points(ns, vals)
     except ValueError:
         pass
     return ({"history.csv": hist.to_csv(),

@@ -25,14 +25,14 @@ from .adapt import (AdaptParams, ConvergenceHistory, amfem, approx,
 from . import assembly
 from .assembly import (ProblemSpec, _quad_norm2_diff, condense, error_sigma,
                        recover, solve_poisson)
-from .estimator import estimate, indicator_edges
+from .estimator import estimate, indicator_edges, oscillation
 from .fespace import (DofVector, RTSpace, div_matrix, interpolate_rt,
                       prolongate)
 from .mesh import load_mesh, triangle_angles, uniform_refine
 from .sources import P0Source, as_source
 
-__all__ = ["Benchmark", "RateFit", "CheckResult", "fit_rate", "fit_points",
-           "benchmark", "benchmark_names", "unit_square_mesh", "lshape_mesh",
+__all__ = ["Benchmark", "CheckResult", "fit_rate", "fit_points", "benchmark",
+           "benchmark_names", "unit_square_mesh", "lshape_mesh",
            "uniform_study", "check_helmholtz", "check_identities",
            "run_suite", "suite_draws", "suite_csv", "SUITES"]
 
@@ -80,10 +80,6 @@ def lshape_mesh():
 
 # -- closed-form benchmark data ---------------------------------------------
 
-def smooth_u(x, y):
-    return np.sin(np.pi * x) * np.sin(np.pi * y)
-
-
 def smooth_f(x, y):
     return 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
 
@@ -122,15 +118,10 @@ def _lshape_factors(x, y):
             r ** (2.0 / 3.0) * np.sin(2.0 * th / 3.0), _sing_grad(r, th))
 
 
-def lshape_u(x, y):
-    """(1-x^2)(1-y^2) r^(2/3) sin(2 theta/3) on the L-shaped domain; vanishes
-    on the outer square and on both edges meeting the reentrant corner."""
-    phi, _, _, S, _ = _lshape_factors(x, y)
-    return phi * S
-
-
 def lshape_f(x, y):
-    """Closed-form -Laplacian of lshape_u.  The singular factor S is
+    """Closed-form -Laplacian of u = (1-x^2)(1-y^2) r^(2/3) sin(2 theta/3),
+    which vanishes on the outer square and on both edges meeting the
+    reentrant corner of the L-shaped domain.  The singular factor S is
     harmonic, so f = -lap(Phi) S - 2 grad(Phi).grad(S); it blows up like
     r^(-1/3) at the corner but stays square integrable."""
     _, (phix, phiy), lap_phi, S, (Sx, Sy) = _lshape_factors(x, y)
@@ -187,17 +178,9 @@ def benchmark(name):
 
 # -- rate fitting ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RateFit:
-    slope: float
-
-    @property
-    def s(self):
-        return -self.slope
-
-
 def fit_points(ns, values):
-    """Least-squares slope of log(values) against log(ns)."""
+    """The rate s of values ~ ns^-s: minus the least-squares slope of
+    log(values) against log(ns)."""
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
     keep = (ns > 0) & (values > 0) & np.isfinite(values)
@@ -206,19 +189,19 @@ def fit_points(ns, values):
         raise ValueError("rate fit needs at least two usable points")
     A = np.column_stack([np.log(ns), np.ones(len(ns))])
     coef = np.linalg.lstsq(A, np.log(values), rcond=None)[0]
-    return RateFit(float(coef[0]))
+    return -float(coef[0])
 
 
 _FIELDS = {"err": ("err", False), "eta": ("eta2", True), "osc": ("osc2", True)}
 
 
 def fit_rate(history: ConvergenceHistory, field="err", tail=4):
-    """Rate fit over the last ``tail`` usable history records, at least 2,
-    or over all of them when ``tail`` is None; ``field`` is one of err,
-    eta, osc (the squared history columns are square-rooted)."""
+    """The rate s (``fit_points``) over the last ``tail`` usable history
+    records, at least 2; ``field`` is one of err, eta, osc (the squared
+    history columns are square-rooted)."""
     if field not in _FIELDS:
         raise ValueError("field must be one of %s" % sorted(_FIELDS))
-    if tail is not None and not tail >= 2:
+    if not tail >= 2:
         raise ValueError("tail must be at least 2, got %r" % (tail,))
     col, squared = _FIELDS[field]
     ns = history.column("nT").astype(float)
@@ -226,10 +209,7 @@ def fit_rate(history: ConvergenceHistory, field="err", tail=4):
     if squared:
         vals = np.sqrt(np.maximum(vals, 0.0))
     keep = np.isfinite(vals) & (vals > 0)
-    ns, vals = ns[keep], vals[keep]
-    if tail is not None:
-        ns, vals = ns[-tail:], vals[-tail:]
-    return fit_points(ns, vals)
+    return fit_points(ns[keep][-tail:], vals[keep][-tail:])
 
 
 def uniform_study(mesh0, problem, rounds):
@@ -369,10 +349,13 @@ def check_pythagoras():
     mesh_H, problem = benchmark("checker_const").make()
     mesh_h = uniform_refine(mesh_H, 1)
     mesh_l = uniform_refine(mesh_h, 2)
-    sols = [solve_poisson(m, problem) for m in (mesh_H, mesh_h, mesh_l)]
-    e2 = error_sigma(sols[0], sols[2]) ** 2
-    a2 = error_sigma(sols[1], sols[2]) ** 2
-    b2 = error_sigma(sols[0], sols[1]) ** 2
+    sH, sh, sl = (solve_poisson(m, problem) for m in (mesh_H, mesh_h, mesh_l))
+
+    def dist2(coarse, fine):
+        d = fine.sigma.values - prolongate(coarse.sigma, fine.mesh).values
+        return fine.space.mass_inner(d, d)
+
+    e2, a2, b2 = dist2(sH, sl), dist2(sh, sl), dist2(sH, sh)
     defect = abs(e2 - a2 - b2) / e2
     return [_leq("identities.pythagoras", defect, 1e-8)]
 
@@ -431,7 +414,7 @@ def check_quasiorth():
     b = on_r - prolongate(sH.sigma, mesh_r).values
     inner = abs(float(sr.space.mass_inner(a, b)))
     na = np.sqrt(float(sr.space.mass_inner(a, a)))
-    osc = np.sqrt(float((mesh_H.tri_h ** 2 * src.cell_osc2(mesh_H)).sum()))
+    osc = np.sqrt(float(oscillation(src, mesh_H).sum()))
     return [_leq("identities.quasiorth_ratio", inner / (na * osc), 10.0)]
 
 
@@ -584,8 +567,8 @@ def check_approx():
     out = []
     mesh0, problem = benchmark("smooth_square").make()
     mesh, hist = approx(problem.f, uniform_refine(mesh0, 2), epsilon=2e-3)
-    fit = fit_rate(hist, "osc", tail=max(4, len(hist.records) - 2))
-    out.append(_leq("approx.osc_slope", fit.slope, -0.9))
+    s = fit_rate(hist, "osc", tail=max(4, len(hist.records) - 2))
+    out.append(_leq("approx.osc_slope", -s, -0.9))
     out.append(CheckResult("approx.status_tol", 1.0, 1.0,
                            hist.status == "tol"))
 

@@ -135,30 +135,30 @@ def test_criterion_04_helmholtz():
 
 def test_criterion_05_smooth_rate(smooth_study):
     hist, dt = smooth_study
-    fit = fit_rate(hist, "err", tail=4)
-    ok = 0.45 <= fit.s <= 0.55 and dt < 60.0
+    s = fit_rate(hist, "err", tail=4)
+    ok = 0.45 <= s <= 0.55 and dt < 60.0
     line = report(5, "smooth uniform rate", ok,
                   "s = %.4f in [0.45, 0.55] (finest %d triangles), "
-                  "%.1fs < 60s" % (fit.s, int(hist.column("nT")[-1]), dt))
+                  "%.1fs < 60s" % (s, int(hist.column("nT")[-1]), dt))
     assert ok, line
 
 
 def test_criterion_06_singular_gap(lshape_uniform, lshape_adaptive):
     hist_u, dt_u = lshape_uniform
     mesh, _, hist_a, dt_a = lshape_adaptive
-    fit_u = fit_rate(hist_u, "err", tail=4)
+    s_u = fit_rate(hist_u, "err", tail=4)
     nT = hist_a.column("nT").astype(float)
     err = hist_a.column("err")
     keep = nT >= nT.max() / 40.0
-    fit_a = fit_points(nT[keep], err[keep])
-    gap = fit_a.s - fit_u.s
+    s_a = fit_points(nT[keep], err[keep])
+    gap = s_a - s_u
     dt = dt_u + dt_a
-    ok = (0.28 <= fit_u.s <= 0.40 and 0.45 <= fit_a.s <= 0.60
+    ok = (0.28 <= s_u <= 0.40 and 0.45 <= s_a <= 0.60
           and gap >= 0.1 and dt < 300.0)
     line = report(6, "singular rate gap", ok,
                   "uniform s = %.4f in [0.28, 0.40], adaptive s = %.4f in "
                   "[0.45, 0.60] (%d triangles, status %s), gap %.3f >= 0.1, "
-                  "%.1fs < 300s" % (fit_u.s, fit_a.s, mesh.nt, hist_a.status,
+                  "%.1fs < 300s" % (s_u, s_a, mesh.nt, hist_a.status,
                                     gap, dt))
     assert ok, line
 
@@ -224,11 +224,11 @@ def test_criterion_10_oscillation_rate():
     t0 = time.perf_counter()
     mesh, hist = approx(problem.f, uniform_refine(mesh0, 2), epsilon=2e-3)
     dt = time.perf_counter() - t0
-    fit = fit_rate(hist, "osc", tail=max(4, len(hist.records) - 2))
-    ok = hist.status == "tol" and fit.slope <= -0.9 and dt < 30.0
+    slope = -fit_rate(hist, "osc", tail=max(4, len(hist.records) - 2))
+    ok = hist.status == "tol" and slope <= -0.9 and dt < 30.0
     line = report(10, "oscillation approximation", ok,
                   "status %s, osc slope %.3f <= -0.9 (%d triangles), "
-                  "%.1fs < 30s" % (hist.status, fit.slope, mesh.nt, dt))
+                  "%.1fs < 30s" % (hist.status, slope, mesh.nt, dt))
     assert ok, line
 
 

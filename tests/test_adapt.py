@@ -10,7 +10,7 @@ import pytest
 from amfem.adapt import (AdaptParams, ConvergenceHistory, HISTORY_COLUMNS,
                          amfem, approx, dorfler_mark, osc_mark, two_stage)
 from amfem.assembly import ProblemSpec
-from amfem.mesh import uniform_refine
+from amfem.mesh import Mesh, uniform_refine
 from amfem.sources import P0Source, as_source
 from amfem.verify import (benchmark, lshape_f, lshape_mesh, smooth_f,
                           unit_square_mesh)
@@ -559,3 +559,46 @@ def test_only_the_factored_mesh_is_alive_at_each_factor(monkeypatch, driver):
     else:
         hist = verify.uniform_study(mesh0, prob, 3)
     assert len(factored) == len(hist.records) > 2
+
+
+def test_the_loop_is_exact_under_powers_of_two(monkeypatch):
+    """The ``lshape_sing`` load times 2^a on the L-shape scaled by L = 2^b,
+    the load read at x / L, with the tolerance times 2^(a + 2b): the loop
+    marks the same edges and visits the same meshes.  sigma and u (fluxes
+    through edges and cell values) scale by 2^(a + 2b), the squared
+    indicators and oscillation by 2^(2a + 4b), all to the last bit."""
+    from amfem import adapt
+    marks = []
+    real = adapt.refine_edges
+
+    def recording(mesh, marked):
+        marks[-1].append(marked)
+        return real(mesh, marked)
+
+    monkeypatch.setattr(adapt, "refine_edges", recording)
+    base, problem = benchmark("lshape_sing").make()
+
+    def run(a, b):
+        scale, L = 2.0 ** a, 2.0 ** b
+        mesh0 = Mesh(base.points * L, base.tri_verts, base.tri_refedge,
+                     base.tri_gen, base.tri_parent, base.alive)
+        f = lambda x, y: scale * problem.f(x / L, y / L)    # noqa: E731
+        marks.append([])
+        _, sol, hist = amfem(mesh0, ProblemSpec(f=f),
+                             AdaptParams(epsilon=0.2 * scale * L * L))
+        return sol, hist, marks[-1]
+
+    sol, hist, marked = run(0, 0)
+    assert len(marked) >= 10
+    for a, b in [(40, 0), (-40, 0), (0, 10), (0, -10)]:
+        sol_s, hist_s, marked_s = run(a, b)
+        assert len(marked_s) == len(marked)
+        assert all(np.array_equal(m, m_s) for m, m_s in zip(marked, marked_s))
+        assert np.array_equal(hist_s.column("nT"), hist.column("nT"))
+        for name, p in (("eta2", 2 * a + 4 * b), ("osc2", 2 * a + 4 * b)):
+            assert np.array_equal(hist_s.column(name),
+                                  np.ldexp(hist.column(name), p))
+        for field in ("sigma", "u"):
+            assert np.array_equal(getattr(sol_s, field).values,
+                                  np.ldexp(getattr(sol, field).values,
+                                           a + 2 * b))

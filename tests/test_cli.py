@@ -97,6 +97,19 @@ def test_solve_mesh_file_input(tmp_path):
     assert "nT=8" in res.stdout
 
 
+def test_solve_on_a_large_square_exits_zero(tmp_path):
+    """f = 1 on a square of side 1024: sigma and u grow with the side
+    squared, and the solve, checked with its load scaled to unit norm,
+    passes its residual checks."""
+    mesh_file = tmp_path / "m.txt"
+    mesh_file.write_text("amfemmesh 1\n4 2\n0 0\n1024 0\n1024 1024\n"
+                         "0 1024\n0 1 2 -\n0 2 3 -\n")
+    res = run_cli("solve", "--mesh", str(mesh_file), "--refine-uniform", "6",
+                  "--out", str(tmp_path / "out"))
+    assert res.returncode == 0, res.stderr
+    assert "nT=8192" in res.stdout
+
+
 def test_solve_mesh_file_is_closed(tmp_path):
     mesh_file = tmp_path / "m.txt"
     mesh_file.write_text("amfemmesh 1\n4 2\n0 0\n1 0\n1 1\n0 1\n"
