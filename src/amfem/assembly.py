@@ -450,20 +450,27 @@ def solve_poisson(mesh: Mesh, problem: ProblemSpec) -> MixedSolution:
 
 
 def _quad_norm2_diff(space, a0, c, tau):
-    """Per live triangle, the squared L2 norm of (tau - affine field)."""
+    """Per live triangle, the squared L2 norm of (tau - affine field),
+    evaluated over blocks of ``quadrature.BLOCK_ROWS`` triangles."""
     bary, w = quadrature.tri_rule()
-    pts = quadrature.tri_points(space.opp_coords(), bary)
-    x, y = pts[..., 0], pts[..., 1]
-    tx, ty = tau(x, y)
-    dx = tx - (a0[:, None, 0] + c[:, None] * x)
-    dy = ty - (a0[:, None, 1] + c[:, None] * y)
-    return (dx ** 2 + dy ** 2) @ w * space.mesh.tri_area
+    P = space.opp_coords()
+    out = np.empty(len(P))
+    for block in quadrature.row_blocks(len(P)):
+        pts = quadrature.tri_points(P[block], bary)
+        x, y = pts[..., 0], pts[..., 1]
+        tx, ty = tau(x, y)
+        dx = tx - (a0[block, None, 0] + c[block, None] * x)
+        dy = ty - (a0[block, None, 1] + c[block, None] * y)
+        out[block] = quadrature.row_dot(dx ** 2 + dy ** 2, w)
+    return out * space.mesh.tri_area
 
 
 def error_sigma(sol: MixedSolution, sigma_exact) -> float:
     """L2 flux error against the exact flux ``sigma_exact``, a vectorized
     callable returning the two components; NaN when it is None, a problem
-    without an exact flux."""
+    without an exact flux.  ``sigma_exact`` is evaluated over blocks of
+    ``quadrature.BLOCK_ROWS`` triangles; the per-triangle terms go into one
+    array, summed once, and are the same in any block."""
     if sigma_exact is None:
         return float("nan")
     a0, c = sol.affine()

@@ -131,7 +131,9 @@ class Mesh:
         live keep their values, and so do its edges not flagged in
         ``split``; only the rows appended since and their new edges are
         computed.  Rows are gathered with np.take and np.compress, several
-        times faster than fancy and boolean indexing of 2-d arrays."""
+        times faster than fancy and boolean indexing of 2-d arrays.  Each
+        stage (areas, edges, edge neighbours) runs in a helper of its own,
+        so that its temporaries die before the next stage starts."""
         live = np.flatnonzero(self.alive)
         if live.size == 0:
             raise MeshFormatError("mesh has no live triangles")
@@ -141,93 +143,24 @@ class Mesh:
         # the parent's surviving rows come first in live order, then the
         # appended rows, whose ids are all higher
         keep = self.alive[parent.live]
-        new = live[np.count_nonzero(keep):]
+        tv = np.take(self.tri_verts, live[np.count_nonzero(keep):], axis=0)
 
         def carried(table):
             """The rows of a parent table whose triangles stay live."""
             return np.compress(keep, table, axis=0)
 
-        old = np.flatnonzero(~split)
-        old_keys = _edge_key(parent.edge_verts[old, 0],
-                             parent.edge_verts[old, 1])
-
-        tv = np.take(self.tri_verts, new, axis=0)
-        p = np.take(self.points, tv, axis=0)     # (n_new, 3, 2)
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        self.tri_area = np.concatenate([carried(parent.tri_area), 0.5 * area2])
+        self.tri_area = np.concatenate([carried(parent.tri_area),
+                                        _areas(self.points, tv)])
         if np.any(self.tri_area <= 0):
             bad = live[int(np.argmin(self.tri_area))]
             raise MeshFormatError("triangle %d has non-positive area" % bad)
+        self._merge_edges(parent, split, tv, carried)
+        del tv
+        self.edge_tri = self._edge_tri()
+        self.edge_boundary = ((self.edge_tri[:, 0] < 0)
+                              | (self.edge_tri[:, 1] < 0))
 
-        # edge i sits opposite local vertex i and is traversed
-        # (v[i+1], v[i+2]) by the counterclockwise boundary walk
-        ea = tv[:, [1, 2, 0]].ravel()
-        eb = tv[:, [2, 0, 1]].ravel()
-        ukey, inverse = np.unique(_edge_key(np.minimum(ea, eb),
-                                            np.maximum(ea, eb)),
-                                  return_inverse=True)
-        # merge the new rows' keys into the surviving parent keys; an edge
-        # id is the rank of its key in the union
-        at = np.searchsorted(old_keys, ukey)
-        found = np.zeros(ukey.size, dtype=bool)
-        inside = at < old_keys.size
-        found[inside] = old_keys[at[inside]] == ukey[inside]
-        fresh, at_fresh = ukey[~found], at[~found]
-        fresh_id = np.arange(fresh.size) + at_fresh
-        old_id = np.arange(old.size) + np.cumsum(
-            np.bincount(at_fresh, minlength=old.size + 1))[:old.size]
-        ne = old.size + fresh.size
-        keys = np.empty(ne, dtype=np.int64)
-        keys[old_id] = old_keys
-        keys[fresh_id] = fresh
-        self.edge_verts = np.column_stack([keys >> 32, keys & 0xFFFFFFFF])
-        uid = np.empty(ukey.size, dtype=np.int64)
-        uid[found] = old_id[at[found]]
-        uid[~found] = fresh_id
-        remap = np.empty(len(parent.edge_verts), dtype=np.int64)
-        remap[old] = old_id
-        new_edge = uid[inverse].reshape(-1, 3)
-        self.tri_edge = np.concatenate([remap[carried(parent.tri_edge)],
-                                        new_edge])
-        sign = np.where(ea < eb, 1, -1).astype(np.int8)
-        self.tri_sign = np.concatenate([carried(parent.tri_sign),
-                                        sign.reshape(-1, 3)])
-
-        edge_tri = np.full((ne, 2), -1, dtype=np.int64)
-        owner = np.repeat(np.arange(live.size), 3)
-        all_edge = self.tri_edge.ravel()
-        all_sign = self.tri_sign.ravel()
-        for side, mask in ((0, all_sign > 0), (1, all_sign < 0)):
-            eids = all_edge[mask]
-            count = np.bincount(eids, minlength=ne)
-            if count.max() > 1:
-                e = int(np.argmax(count))
-                a, b = self.edge_verts[e, [side, 1 - side]]
-                t1, t2 = live[owner[mask][eids == e][:2]]
-                raise MeshFormatError(
-                    "non-conforming mesh: edge %d -> %d is traversed in the "
-                    "same direction by triangles %d and %d (duplicate or "
-                    "misoriented triangle)" % (a, b, t1, t2))
-            edge_tri[eids, side] = owner[mask]
-        self.edge_tri = edge_tri
-        self.edge_boundary = (edge_tri[:, 0] < 0) | (edge_tri[:, 1] < 0)
-
-        # one length per fresh edge, from its key's endpoints (a difference
-        # of coordinates only changes sign with the direction, and hypot
-        # ignores the sign); a new row's diameter is its longest edge
-        vec = (np.take(self.points, fresh & 0xFFFFFFFF, axis=0)
-               - np.take(self.points, fresh >> 32, axis=0))
-        edge_len = np.empty(ne)
-        edge_len[old_id] = parent.edge_len[old]
-        edge_len[fresh_id] = np.hypot(vec[:, 0], vec[:, 1])
-        self.edge_len = edge_len
-        row_len = np.take(edge_len, new_edge.T)     # (3, n_new)
-        self.tri_h = np.concatenate([carried(parent.tri_h),
-                                     row_len.max(axis=0)])
-
-        nv = len(self.points)
+        nv, ne = len(self.points), len(self.edge_verts)
         # bisection keeps every vertex of a bisected triangle and adds only
         # midpoints its children use, so a refined mesh has no unused
         # vertex when its input mesh has none: only meshes built from
@@ -243,11 +176,91 @@ class Mesh:
                 % (ne, nv, live.size))
         # a disk beside an annulus meets the Euler relation too
         if parent is _NO_PARENT:
-            label = _components(edge_tri[~self.edge_boundary], live.size)
+            label = _components(self.edge_tri[~self.edge_boundary],
+                                live.size)
             if label.any():
                 raise MeshFormatError(
                     "disconnected mesh: no chain of edges joins triangle %d "
                     "to triangle %d" % (live[0], live[np.argmax(label)]))
+
+    def _merge_edges(self, parent, split, tv, carried):
+        """The edge tables, ``tri_edge``, ``tri_sign``, the edge lengths and
+        the diameters: the new rows ``tv``'s edge keys merged into the
+        parent's unsplit ones."""
+        old = np.flatnonzero(~split)
+        old_keys = _edge_key(parent.edge_verts[old, 0],
+                             parent.edge_verts[old, 1])
+        # edge i sits opposite local vertex i and is traversed
+        # (v[i+1], v[i+2]) by the counterclockwise boundary walk
+        ea = tv[:, [1, 2, 0]].ravel()
+        eb = tv[:, [2, 0, 1]].ravel()
+        sign = np.where(ea < eb, np.int8(1), np.int8(-1)).reshape(-1, 3)
+        key = _edge_key(np.minimum(ea, eb), np.maximum(ea, eb))
+        del ea, eb
+        ukey, inverse = np.unique(key, return_inverse=True)
+        del key
+        # merge the new rows' keys into the surviving parent keys; an edge
+        # id is the rank of its key in the union
+        at = np.searchsorted(old_keys, ukey)
+        found = np.zeros(ukey.size, dtype=bool)
+        inside = at < old_keys.size
+        found[inside] = old_keys[at[inside]] == ukey[inside]
+        fresh, at_fresh = ukey[~found], at[~found]
+        fresh_id = np.arange(fresh.size) + at_fresh
+        old_id = np.arange(old.size) + np.cumsum(
+            np.bincount(at_fresh, minlength=old.size + 1))[:old.size]
+        ne = old.size + fresh.size
+        keys = np.empty(ne, dtype=np.int64)
+        keys[old_id] = old_keys
+        keys[fresh_id] = fresh
+        self.edge_verts = np.column_stack([keys >> 32, keys & 0xFFFFFFFF])
+        del keys, old_keys
+        uid = np.empty(ukey.size, dtype=np.int64)
+        uid[found] = old_id[at[found]]
+        uid[~found] = fresh_id
+        remap = np.empty(len(parent.edge_verts), dtype=np.int64)
+        remap[old] = old_id
+        new_edge = uid[inverse].reshape(-1, 3)
+        del inverse
+        self.tri_edge = np.concatenate([remap[carried(parent.tri_edge)],
+                                        new_edge])
+        self.tri_sign = np.concatenate([carried(parent.tri_sign), sign])
+
+        # one length per fresh edge, from its key's endpoints (a difference
+        # of coordinates only changes sign with the direction, and hypot
+        # ignores the sign); a new row's diameter is its longest edge
+        vec = (np.take(self.points, fresh & 0xFFFFFFFF, axis=0)
+               - np.take(self.points, fresh >> 32, axis=0))
+        edge_len = np.empty(ne)
+        edge_len[old_id] = parent.edge_len[old]
+        edge_len[fresh_id] = np.hypot(vec[:, 0], vec[:, 1])
+        self.edge_len = edge_len
+        row_len = np.take(edge_len, new_edge.T)     # (3, n_new)
+        self.tri_h = np.concatenate([carried(parent.tri_h),
+                                     row_len.max(axis=0)])
+
+    def _edge_tri(self):
+        """(ne, 2) [left, right] live positions of each edge's triangles;
+        raises MeshFormatError where two triangles traverse an edge in the
+        same direction."""
+        ne = len(self.edge_verts)
+        edge_tri = np.full((ne, 2), -1, dtype=np.int64)
+        owner = np.repeat(np.arange(self.live.size), 3)
+        all_edge = self.tri_edge.ravel()
+        all_sign = self.tri_sign.ravel()
+        for side, mask in ((0, all_sign > 0), (1, all_sign < 0)):
+            eids = all_edge[mask]
+            count = np.bincount(eids, minlength=ne)
+            if count.max() > 1:
+                e = int(np.argmax(count))
+                a, b = self.edge_verts[e, [side, 1 - side]]
+                t1, t2 = self.live[owner[mask][eids == e][:2]]
+                raise MeshFormatError(
+                    "non-conforming mesh: edge %d -> %d is traversed in the "
+                    "same direction by triangles %d and %d (duplicate or "
+                    "misoriented triangle)" % (a, b, t1, t2))
+            edge_tri[eids, side] = owner[mask]
+        return edge_tri
 
     # -- counts ---------------------------------------------------------
 
@@ -262,6 +275,14 @@ class Mesh:
     @property
     def ne(self):
         return len(self.edge_verts)
+
+
+def _areas(points, tv):
+    """Signed areas of the triangles with vertex ids ``tv``, (n, 3)."""
+    p = np.take(points, tv, axis=0)     # (n, 3, 2)
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def _edge_key(lo, hi):
@@ -423,7 +444,9 @@ def _refine(mesh, marked):
     """Newest-vertex bisection splitting every live edge flagged in the
     boolean array ``marked`` (indexed by edge id; extended in place by the
     closure).  Returns ``(mesh, bisected)`` with the bisected row ids in
-    ascending order."""
+    ascending order.  Each genealogy array is one concatenation of the
+    input mesh's array and the levels' parts, and the parts are dropped
+    before the refined mesh builds its tables."""
     live, r = mesh.live, np.take(mesh.tri_refedge, mesh.live)
     ref = mesh.tri_edge[np.arange(live.size), r]
     # closure: a triangle with a split edge must split its refinement edge
@@ -440,23 +463,44 @@ def _refine(mesh, marked):
     ev = mesh.edge_verts[split]
     points = np.concatenate(
         [mesh.points, 0.5 * (mesh.points[ev[:, 0]] + mesh.points[ev[:, 1]])])
+    del ref, split, ev
 
-    # One level per pass: the triangles whose refinement edge is split are
-    # bisected and their children appended in parent order.  A child's
-    # refinement edge is the one full edge it inherits from its parent
-    # (the edge opposite the new midpoint); its other two edges are new and
-    # never split, so a mesh triangle is bisected at most three times and
-    # the loop ends after three passes.
-    n0 = n = len(mesh.tri_verts)
-    rows, verts = live, np.take(mesh.tri_verts, live, axis=0)
-    edges, gen = mesh.tri_edge, np.take(mesh.tri_gen, live)
-    parts = []
+    rows, verts, r, gen, parent = zip(*_bisection_levels(mesh, marked, mid, r))
+    bisected = np.concatenate(rows)
+    n0 = len(mesh.tri_verts)
+    alive = np.ones(n0 + sum(map(len, r)), dtype=bool)
+    alive[:n0] = mesh.alive
+    alive[bisected] = False
+    genealogy = [np.concatenate((base,) + parts) for base, parts in (
+        (mesh.tri_verts, verts), (mesh.tri_refedge, r),
+        (mesh.tri_gen, gen), (mesh.tri_parent, parent))]
+    del rows, verts, r, gen, parent
+    fine = Mesh(points, *genealogy, alive, domain_area=mesh.domain_area,
+                _parent=mesh, _split=marked)
+    return fine, bisected
+
+
+def _bisection_levels(mesh, marked, mid, r):
+    """The bisections of the live triangles, one level per item: the
+    bisected rows, and their children's vertices, refinement edges,
+    generations and parents.
+
+    One level per pass: the triangles whose refinement edge ``r`` is split
+    are bisected at the midpoint ``mid`` of that edge and their children
+    appended in parent order.  A child's refinement edge is the one full
+    edge it inherits from its parent (the edge opposite the new midpoint);
+    its other two edges are new and never split, so a mesh triangle is
+    bisected at most three times and the loop ends after three passes."""
+    n = len(mesh.tri_verts)
+    rows, verts = mesh.live, np.take(mesh.tri_verts, mesh.live, axis=0)
+    edges, gen = mesh.tri_edge, np.take(mesh.tri_gen, mesh.live)
+    levels = []
     while True:
         k = np.arange(rows.size)
         e = edges[k, r]
         go = (e >= 0) & marked[e]           # marked[-1] is masked out
         if not go.any():
-            break
+            return levels
         rows, verts, r, edges, gen, e = (
             np.compress(go, t, axis=0)
             for t in (rows, verts, r, edges, gen, e))
@@ -472,21 +516,9 @@ def _refine(mesh, marked):
                          axis=1).reshape(-1, 3)
         r = np.tile(np.array([2, 1], dtype=np.int64), rows.size)
         gen = np.repeat(gen + 1, 2)
-        parts.append((rows, verts, r, gen, np.repeat(rows, 2)))
+        levels.append((rows, verts, r, gen, np.repeat(rows, 2)))
         rows = n + np.arange(verts.shape[0])
         n += verts.shape[0]
-
-    bisected, verts, r, gen, parent = (np.concatenate(c) for c in zip(*parts))
-    alive = np.ones(n, dtype=bool)
-    alive[:n0] = mesh.alive
-    alive[bisected] = False
-    fine = Mesh(points, np.concatenate([mesh.tri_verts, verts]),
-                np.concatenate([mesh.tri_refedge, r]),
-                np.concatenate([mesh.tri_gen, gen]),
-                np.concatenate([mesh.tri_parent, parent]),
-                alive, domain_area=mesh.domain_area, _parent=mesh,
-                _split=marked)
-    return fine, bisected
 
 
 def refine_edges(mesh, marked):

@@ -7,7 +7,9 @@ row, not once per mesh: the quadrature data of a row depends on its three
 vertices alone, and those never change along a refinement hierarchy.  The
 piecewise-constant fields evaluate exactly on any refinement of their mesh
 (cell means are ancestor lookups, the oscillation is exactly zero), which
-is what the two-stage pipeline relies on.
+is what the two-stage pipeline relies on.  A callable is evaluated over
+blocks of at most ``quadrature.BLOCK_ROWS`` rows, so its point values take
+memory bounded by the block, not by the mesh.
 """
 from __future__ import annotations
 
@@ -32,8 +34,10 @@ class FunctionSource:
     later mesh of the run, share those evaluations.  The records hold for a
     mesh whose rows and vertices extend the ones seen so far, and for a
     coarser mesh of the same hierarchy, whose rows and vertices are a
-    prefix of them; on any other mesh the source starts over.  A load that
-    is not finite at a quadrature point raises ValueError."""
+    prefix of them; on any other mesh the source starts over.  The rows to
+    evaluate go to f in blocks of ``quadrature.BLOCK_ROWS``; each row's
+    records are bit-identical to those of a one-batch evaluation.  A load
+    that is not finite at a quadrature point raises ValueError."""
 
     def __init__(self, f, degree=quadrature.DEFAULT_DEGREE):
         self.f = f
@@ -64,23 +68,21 @@ class FunctionSource:
         return self._mean[mesh.live], self._dev2[mesh.live]
 
     def _evaluate(self, mesh, rows):
-        pts = quadrature.tri_points(mesh.points[mesh.tri_verts[rows]],
-                                    self._nodes)
-        vals = np.asarray(self.f(pts[..., 0], pts[..., 1]), dtype=float)
-        finite = np.isfinite(vals).all(axis=1)
-        if not finite.all():
-            raise ValueError("the load is not finite at a quadrature point "
-                             "of triangle %d" % rows[np.argmin(finite)])
-        # numpy hands a one-row product to a dot kernel that rounds unlike
-        # the matrix-vector kernel of every larger batch; two equal rows
-        # keep each row's value independent of the batch it came in
-        if len(rows) == 1:
-            vals = np.repeat(vals, 2, axis=0)
-        mean = vals @ self._w
-        dev2 = ((vals - mean[:, None]) ** 2) @ self._w
-        self._mean[rows] = mean[:len(rows)]
-        self._dev2[rows] = dev2[:len(rows)]
-        self._done[rows] = True
+        for block in quadrature.row_blocks(len(rows)):
+            part = rows[block]
+            pts = quadrature.tri_points(mesh.points[mesh.tri_verts[part]],
+                                        self._nodes)
+            vals = np.asarray(self.f(pts[..., 0], pts[..., 1]), dtype=float)
+            finite = np.isfinite(vals).all(axis=1)
+            if not finite.all():
+                raise ValueError("the load is not finite at a quadrature "
+                                 "point of triangle %d"
+                                 % part[np.argmin(finite)])
+            mean = quadrature.row_dot(vals, self._w)
+            self._mean[part] = mean
+            self._dev2[part] = quadrature.row_dot(
+                (vals - mean[:, None]) ** 2, self._w)
+            self._done[part] = True
 
     def cell_integrals(self, mesh):
         return mesh.tri_area * self._records(mesh)[0]

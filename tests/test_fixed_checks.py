@@ -85,10 +85,12 @@ def smooth_scaled(scale):
 @pytest.mark.parametrize("scale", [1.0, 1e-12])
 def test_residual_check_fires_at_every_data_scale(monkeypatch, scale):
     """Multipliers off by 1e-3 relative are caught whatever the size of the
-    load.  With the load scaled by 1e-12 the residuals, relative to 1 and
-    to 1 + ||rhs_u||, read 4.9e-14 / 1.5e-13 and pass; the backward errors,
-    relative to |M||sigma| + |B^T||u| and |B||sigma| + |rhs_u|, read
-    8.6e-4 / 2.1e-2 at both scales and fire."""
+    load.  ``recover`` runs its checks on the load scaled by a power of two
+    to unit norm, so both kinds fire at both scales: the residuals,
+    relative to 1 and to 1 + ||rhs_u||, read 4.6e-2 / 9.0e-2 at unit scale
+    and 5.1e-2 / 9.5e-2 at 1e-12 (the scaled loads differ by a factor
+    below 2), and the backward errors, relative to |M||sigma| + |B^T||u|
+    and |B||sigma| + |rhs_u|, read 2.0e-4 / 6.1e-3 at both."""
     mesh, problem = smooth_scaled(scale)
     sol = solve_poisson(mesh, problem)
     assert max(sol.residual_sigma, sol.residual_u) < 1e-10
