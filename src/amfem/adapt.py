@@ -26,7 +26,7 @@ import numpy as np
 from .assembly import ProblemSpec, error_sigma, solve_poisson
 from .estimator import estimate, oscillation
 from .fespace import prolongate
-from .mesh import Mesh, ancestor_map, refine_edges
+from .mesh import Mesh, _edge_key, ancestor_map, refine_edges
 from .sources import P0Source, as_source
 
 __all__ = ["AdaptParams", "HistoryRecord", "ConvergenceHistory",
@@ -232,9 +232,8 @@ def _combinatorial_check(coarse, fine):
     """Edges of the coarse mesh that are gone in the fine one; their count
     is bounded by 3x the triangle increase (a property of bisection that
     the discrete upper bound relies on)."""
-    nv = fine.nv
-    coarse_keys = coarse.edge_verts[:, 0] * nv + coarse.edge_verts[:, 1]
-    fine_keys = fine.edge_verts[:, 0] * nv + fine.edge_verts[:, 1]
+    coarse_keys = _edge_key(coarse.edge_verts[:, 0], coarse.edge_verts[:, 1])
+    fine_keys = _edge_key(fine.edge_verts[:, 0], fine.edge_verts[:, 1])
     gone = np.flatnonzero(~np.isin(coarse_keys, fine_keys, assume_unique=True))
     bound = 3 * (fine.nt - coarse.nt)
     if len(gone) > bound:

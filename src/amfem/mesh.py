@@ -61,14 +61,18 @@ class NotNestedError(ValueError):
 class Mesh:
     """Immutable conforming triangulation plus its refinement genealogy.
 
-    Array attributes (all read-only by convention):
+    Array attributes (all read-only by convention).  Every vertex, row,
+    live-position and edge id is int32, and a local index is int8:
 
-    points      (nv, 2) vertex coordinates
-    tri_verts   (nt_all, 3) vertex ids, counterclockwise
-    tri_refedge (nt_all,) local index of the refinement edge
-    tri_gen, tri_parent   genealogy; row t's children: tri_parent == t
-    alive       (nt_all,) live flags;  live = ids of live triangles
-    live_pos    (nt_all,) position of a live triangle in ``live``, else -1
+    points      (nv, 2) float64 vertex coordinates
+    tri_verts   (nt_all, 3) int32 vertex ids, counterclockwise
+    tri_refedge (nt_all,) int8 local index of the refinement edge
+    tri_gen, tri_parent   (nt_all,) int32 genealogy; row t's children:
+                tri_parent == t, and -1 above a root
+    alive       (nt_all,) bool live flags
+    live        (nl,) int32 ids of the live triangles, ascending
+    live_pos    (nt_all,) int32 position of a live triangle in ``live``,
+                else -1
 
     The tables below cover the live triangles and name each one by its
     live position, never by its row.  Edge ids follow the lexicographic
@@ -77,35 +81,40 @@ class Mesh:
     computes only those of its appended rows and new edges; a mesh built
     from arrays alone computes them all.  Both ways give the same values:
 
-    edge_verts  (ne, 2) with a < b
-    edge_tri    (ne, 2) [left, right] live positions, -1 when absent
-    edge_len    (ne,)
+    edge_verts  (ne, 2) int32 vertex ids (a, b) with a < b
+    edge_tri    (ne, 2) int32 [left, right] live positions, -1 when absent
+    edge_len    (ne,) float64
     edge_boundary  (ne,) bool
-    tri_edge    (nl, 3) edge id opposite each local vertex
-    tri_sign    (nl, 3) +1 where the triangle is left of the edge tangent
-    tri_area, tri_h   (nl,) areas and diameters
+    tri_edge    (nl, 3) int32 edge id opposite each local vertex
+    tri_sign    (nl, 3) int8 +1 where the triangle is left of the edge
+                tangent, else -1
+    tri_area, tri_h   (nl,) float64 areas and diameters
 
     Every mesh is checked for finite coordinates, positive areas,
-    conformity, the Euler relation and its area.  The scan for vertices no
-    live triangle uses and the check that the live triangles are joined
-    by their edges run on meshes built from arrays (and so on every loaded
-    mesh); a refined mesh cannot gain an unused vertex or a second part.
+    conformity, the Euler relation and its area.  Three checks run on
+    meshes built from arrays (and so on every loaded mesh): that the
+    vertex and row counts fit in int32 and every vertex id lies in
+    [0, nv), before the ids narrow to int32; the scan for vertices no live
+    triangle uses; and that the live triangles are joined by their edges.
+    Refinement builds its tables in int32 and cannot gain an unused vertex
+    or a second part.
     """
 
     def __init__(self, points, tri_verts, tri_refedge, tri_gen, tri_parent,
                  alive, domain_area=None, _parent=None, _split=None):
+        if _parent is None:
+            _parent, _split = _NO_PARENT, np.zeros(0, dtype=bool)
+            tri_verts = _checked_ids(tri_verts, len(points))
         self.points = np.asarray(points, dtype=float)
-        self.tri_verts = np.asarray(tri_verts, dtype=np.int64).reshape(-1, 3)
-        self.tri_refedge = np.asarray(tri_refedge, dtype=np.int64)
-        self.tri_gen = np.asarray(tri_gen, dtype=np.int64)
-        self.tri_parent = np.asarray(tri_parent, dtype=np.int64)
+        self.tri_verts = np.asarray(tri_verts, dtype=np.int32).reshape(-1, 3)
+        self.tri_refedge = np.asarray(tri_refedge, dtype=np.int8)
+        self.tri_gen = np.asarray(tri_gen, dtype=np.int32)
+        self.tri_parent = np.asarray(tri_parent, dtype=np.int32)
         self.alive = np.asarray(alive, dtype=bool)
         finite = np.isfinite(self.points).all(axis=1)
         if not finite.all():
             raise MeshFormatError("vertex %d has a non-finite coordinate"
                                   % int(np.argmin(finite)))
-        if _parent is None:
-            _parent, _split = _NO_PARENT, np.zeros(0, dtype=bool)
         # finite coordinates far apart overflow the geometry; that is
         # reported below, naming the triangle, and not as a RuntimeWarning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -134,12 +143,12 @@ class Mesh:
         times faster than fancy and boolean indexing of 2-d arrays.  Each
         stage (areas, edges, edge neighbours) runs in a helper of its own,
         so that its temporaries die before the next stage starts."""
-        live = np.flatnonzero(self.alive)
+        live = np.flatnonzero(self.alive).astype(np.int32)
         if live.size == 0:
             raise MeshFormatError("mesh has no live triangles")
         self.live = live
-        self.live_pos = np.full(len(self.tri_verts), -1, dtype=np.int64)
-        self.live_pos[live] = np.arange(live.size)
+        self.live_pos = np.full(len(self.tri_verts), -1, dtype=np.int32)
+        self.live_pos[live] = np.arange(live.size, dtype=np.int32)
         # the parent's surviving rows come first in live order, then the
         # appended rows, whose ids are all higher
         keep = self.alive[parent.live]
@@ -206,34 +215,43 @@ class Mesh:
         inside = at < old_keys.size
         found[inside] = old_keys[at[inside]] == ukey[inside]
         fresh, at_fresh = ukey[~found], at[~found]
+        del ukey, inside
         fresh_id = np.arange(fresh.size) + at_fresh
         old_id = np.arange(old.size) + np.cumsum(
             np.bincount(at_fresh, minlength=old.size + 1))[:old.size]
+        del at_fresh
         ne = old.size + fresh.size
         keys = np.empty(ne, dtype=np.int64)
         keys[old_id] = old_keys
         keys[fresh_id] = fresh
-        self.edge_verts = np.column_stack([keys >> 32, keys & 0xFFFFFFFF])
-        del keys, old_keys
-        uid = np.empty(ukey.size, dtype=np.int64)
+        del old_keys, fresh
+        # unpacked straight into the int32 columns, with no int64 column
+        ev = self.edge_verts = np.empty((ne, 2), dtype=np.int32)
+        np.right_shift(keys, 32, out=ev[:, 0], casting="unsafe")
+        np.bitwise_and(keys, 0xFFFFFFFF, out=ev[:, 1], casting="unsafe")
+        del keys
+        uid = np.empty(found.size, dtype=np.int32)
         uid[found] = old_id[at[found]]
         uid[~found] = fresh_id
-        remap = np.empty(len(parent.edge_verts), dtype=np.int64)
+        del at, found
+        remap = np.empty(len(parent.edge_verts), dtype=np.int32)
         remap[old] = old_id
         new_edge = uid[inverse].reshape(-1, 3)
-        del inverse
+        del uid, inverse
         self.tri_edge = np.concatenate([remap[carried(parent.tri_edge)],
                                         new_edge])
         self.tri_sign = np.concatenate([carried(parent.tri_sign), sign])
 
-        # one length per fresh edge, from its key's endpoints (a difference
-        # of coordinates only changes sign with the direction, and hypot
+        # one length per fresh edge, from its endpoints (a difference of
+        # coordinates only changes sign with the direction, and hypot
         # ignores the sign); a new row's diameter is its longest edge
-        vec = (np.take(self.points, fresh & 0xFFFFFFFF, axis=0)
-               - np.take(self.points, fresh >> 32, axis=0))
+        a, b = np.take(ev, fresh_id, axis=0).T
+        vec = np.take(self.points, b, axis=0) - np.take(self.points, a, axis=0)
+        del a, b
         edge_len = np.empty(ne)
         edge_len[old_id] = parent.edge_len[old]
         edge_len[fresh_id] = np.hypot(vec[:, 0], vec[:, 1])
+        del vec, fresh_id, old_id
         self.edge_len = edge_len
         row_len = np.take(edge_len, new_edge.T)     # (3, n_new)
         self.tri_h = np.concatenate([carried(parent.tri_h),
@@ -244,8 +262,8 @@ class Mesh:
         raises MeshFormatError where two triangles traverse an edge in the
         same direction."""
         ne = len(self.edge_verts)
-        edge_tri = np.full((ne, 2), -1, dtype=np.int64)
-        owner = np.repeat(np.arange(self.live.size), 3)
+        edge_tri = np.full((ne, 2), -1, dtype=np.int32)
+        owner = np.repeat(np.arange(self.live.size, dtype=np.int32), 3)
         all_edge = self.tri_edge.ravel()
         all_sign = self.tri_sign.ravel()
         for side, mask in ((0, all_sign > 0), (1, all_sign < 0)):
@@ -286,9 +304,31 @@ def _areas(points, tv):
 
 
 def _edge_key(lo, hi):
-    """Sort key of the edge (lo, hi), lo < hi: lexicographic, and the same
-    for every mesh whatever its vertex count."""
-    return lo << 32 | hi
+    """Sort key of the edge (lo, hi), lo < hi, from two arrays of
+    nonnegative ids: lo * 2^32 + hi in int64.  It is lexicographic, the
+    same for every mesh whatever its vertex count, and never wraps."""
+    key = lo.astype(np.int64)
+    key <<= 32
+    key |= hi
+    return key
+
+
+def _checked_ids(tri_verts, nv):
+    """``tri_verts`` as an (n, 3) array, unconverted, once the vertex count
+    ``nv`` and the row count n fit in int32 and every id lies in [0, nv);
+    raises MeshFormatError otherwise."""
+    tv = np.asarray(tri_verts).reshape(-1, 3)
+    limit = np.iinfo(np.int32).max
+    if max(nv, len(tv)) > limit:
+        raise MeshFormatError("too many vertices or rows for int32 ids: "
+                              "nv=%d, rows=%d, at most %d"
+                              % (nv, len(tv), limit))
+    if tv.size and (tv.min() < 0 or tv.max() >= nv):
+        bad = (tv < 0) | (tv >= nv)
+        row = int(np.argmax(bad.any(axis=1)))
+        raise MeshFormatError("row %d has a vertex id %d outside [0, %d)"
+                              % (row, tv[row][bad[row]][0], nv))
+    return tv
 
 
 def _components(pairs, n):
@@ -313,10 +353,10 @@ def _components(pairs, n):
 
 # the parent of a mesh built from its arrays alone: no rows, no edges
 _NO_PARENT = SimpleNamespace(
-    live=np.empty(0, dtype=np.int64),
-    edge_verts=np.empty((0, 2), dtype=np.int64),
+    live=np.empty(0, dtype=np.int32),
+    edge_verts=np.empty((0, 2), dtype=np.int32),
     edge_len=np.empty(0),
-    tri_edge=np.empty((0, 3), dtype=np.int64),
+    tri_edge=np.empty((0, 3), dtype=np.int32),
     tri_sign=np.empty((0, 3), dtype=np.int8),
     tri_area=np.empty(0),
     tri_h=np.empty(0))
@@ -334,7 +374,7 @@ def _label_longest_edge(points, tv):
     best = l2.max(axis=1, keepdims=True)
     cand = l2 == best
     key = np.where(cand, tv, np.iinfo(np.int64).max)
-    return np.argmin(key, axis=1).astype(np.int64)
+    return np.argmin(key, axis=1).astype(np.int8)
 
 
 @np.errstate(over="ignore", invalid="ignore")     # Mesh names the triangle
@@ -384,7 +424,7 @@ def load_mesh(text):
             fail(lineno, "non-finite coordinate in %r" % line)
 
     tv = np.empty((nt, 3), dtype=np.int64)
-    refedge = np.full(nt, -1, dtype=np.int64)
+    refedge = np.full(nt, -1, dtype=np.int8)
     for i in range(nt):
         lineno, line = rows[2 + nv + i]
         parts = line.split()
@@ -425,8 +465,8 @@ def load_mesh(text):
     if np.any(missing):
         labels = _label_longest_edge(points, tv)
         refedge[missing] = labels[missing]
-    return Mesh(points, tv, refedge, np.zeros(nt, dtype=np.int64),
-                np.full(nt, -1, dtype=np.int64), np.ones(nt, dtype=bool))
+    return Mesh(points, tv, refedge, np.zeros(nt, dtype=np.int32),
+                np.full(nt, -1, dtype=np.int32), np.ones(nt, dtype=bool))
 
 
 def save_mesh(mesh):
@@ -458,8 +498,8 @@ def _refine(mesh, marked):
         marked[front] = True
 
     split = np.flatnonzero(marked)
-    mid = np.full(mesh.ne, -1, dtype=np.int64)
-    mid[split] = mesh.nv + np.arange(split.size)
+    mid = np.full(mesh.ne, -1, dtype=np.int32)
+    mid[split] = np.arange(mesh.nv, mesh.nv + split.size, dtype=np.int32)
     ev = mesh.edge_verts[split]
     points = np.concatenate(
         [mesh.points, 0.5 * (mesh.points[ev[:, 0]] + mesh.points[ev[:, 1]])])
@@ -483,7 +523,7 @@ def _refine(mesh, marked):
 def _bisection_levels(mesh, marked, mid, r):
     """The bisections of the live triangles, one level per item: the
     bisected rows, and their children's vertices, refinement edges,
-    generations and parents.
+    generations and parents, each in the dtype of its ``Mesh`` table.
 
     One level per pass: the triangles whose refinement edge ``r`` is split
     are bisected at the midpoint ``mid`` of that edge and their children
@@ -508,16 +548,16 @@ def _bisection_levels(mesh, marked, mid, r):
         va, vb, vc = verts[k, r], verts[k, (r + 1) % 3], verts[k, (r + 2) % 3]
         eb, ec = edges[k, (r + 1) % 3], edges[k, (r + 2) % 3]
         m = mid[e]
-        none = np.full(rows.size, -1, dtype=np.int64)
+        none = np.full(rows.size, -1, dtype=np.int32)
         # children (va, vb, m) and (va, m, vc), one row each; they keep the
         # parent edges (va, vb) = ec and (vc, va) = eb opposite m
         verts = np.stack([va, vb, m, va, m, vc], axis=1).reshape(-1, 3)
         edges = np.stack([none, none, ec, none, eb, none],
                          axis=1).reshape(-1, 3)
-        r = np.tile(np.array([2, 1], dtype=np.int64), rows.size)
+        r = np.tile(np.array([2, 1], dtype=np.int8), rows.size)
         gen = np.repeat(gen + 1, 2)
         levels.append((rows, verts, r, gen, np.repeat(rows, 2)))
-        rows = n + np.arange(verts.shape[0])
+        rows = np.arange(n, n + verts.shape[0], dtype=np.int32)
         n += verts.shape[0]
 
 
@@ -527,12 +567,13 @@ def refine_edges(mesh, marked):
     ``marked`` is an array-like of integer edge ids (not a mask), such as
     the int64 arrays the markers return.  Both triangles of a marked edge's
     patch get bisected along the way, plus any completion bisections needed
-    for conformity.  Returns ``(mesh, bisected)`` where ``bisected`` lists
-    the ids of all triangles actually bisected.
+    for conformity.  Returns ``(mesh, bisected)`` where ``bisected`` is an
+    int32 array of the row ids of all triangles actually bisected, in
+    ascending order.
     """
     edge_ids = np.asarray(marked)
     if not edge_ids.size:       # [] reads as float64
-        return mesh, np.empty(0, dtype=np.int64)
+        return mesh, np.empty(0, dtype=np.int32)
     if edge_ids.dtype.kind not in "iu":
         raise ValueError("edge ids must be integers, got %s" % edge_ids.dtype)
     bad = edge_ids[(edge_ids < 0) | (edge_ids >= mesh.ne)]
@@ -568,8 +609,9 @@ def _same_hierarchy(tri_verts, points, mesh):
 
 def ancestor_map(fine, coarse):
     """For each live triangle of ``fine`` (in live order), the live position
-    in ``coarse`` of the triangle containing it.  Raises NotNestedError
-    unless the rows and vertices of ``coarse`` are a prefix of ``fine``'s."""
+    in ``coarse`` of the triangle containing it, as an int32 array.  Raises
+    NotNestedError unless the rows and vertices of ``coarse`` are a prefix
+    of ``fine``'s."""
     if len(fine.tri_verts) < len(coarse.tri_verts):
         raise NotNestedError("reference mesh is finer than the target")
     if not _same_hierarchy(coarse.tri_verts, coarse.points, fine):

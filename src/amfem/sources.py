@@ -45,7 +45,7 @@ class FunctionSource:
         self._forget()
 
     def _forget(self):
-        self._tri_verts = np.empty((0, 3), dtype=np.int64)
+        self._tri_verts = np.empty((0, 3), dtype=np.int32)
         self._points = np.empty((0, 2))
         self._mean = self._dev2 = np.empty(0)
         self._done = np.empty(0, dtype=bool)

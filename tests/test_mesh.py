@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from amfem.mesh import (Mesh, MeshFormatError, NotNestedError, ancestor_map,
-                        load_mesh, refine_edges, save_mesh, triangle_angles,
-                        uniform_refine)
+from amfem.mesh import (Mesh, MeshFormatError, NotNestedError, _checked_ids,
+                        _edge_key, ancestor_map, load_mesh, refine_edges,
+                        save_mesh, triangle_angles, uniform_refine)
 from amfem.verify import lshape_mesh, unit_square_mesh
 
 REF_TRI = """amfemmesh 1
@@ -105,7 +105,7 @@ def test_refine_edges_empty_is_noop():
     m = unit_square_mesh()
     m2, bisected = refine_edges(m, [])
     assert m2.nt == m.nt
-    assert bisected.size == 0
+    assert bisected.size == 0 and bisected.dtype == np.int32
 
 
 def test_uniform_refine_square():
@@ -269,6 +269,42 @@ def test_mesh_from_arrays_rejects_unused_vertex():
     with pytest.raises(MeshFormatError, match="not used by any live"):
         Mesh(points, fine.tri_verts, fine.tri_refedge, fine.tri_gen,
              fine.tri_parent, fine.alive)
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 2 ** 32])
+def test_mesh_from_arrays_rejects_a_vertex_id_out_of_range(bad):
+    """Checked before the ids narrow to int32, where 2^32 would wrap to 0."""
+    m = ref_tri_mesh()
+    with pytest.raises(MeshFormatError,
+                       match="vertex id %d outside \\[0, 3\\)" % bad):
+        Mesh(m.points, [[0, 1, bad]], m.tri_refedge, m.tri_gen, m.tri_parent,
+             m.alive)
+
+
+def test_id_check_rejects_counts_beyond_int32():
+    """The check a mesh built from arrays runs before its ids narrow, at
+    2^31 vertices and at 2^31 rows.  It is called directly: a ``Mesh`` of
+    that size would take tens of GB wherever the check failed to stop it,
+    while the rows here are a zero-stride view that nothing copies."""
+    many = 2 ** 31
+    with pytest.raises(MeshFormatError, match="nv=2147483648"):
+        _checked_ids([[0, 1, 2]], many)
+    rows = np.broadcast_to(np.array([0, 1, 2], dtype=np.int32), (many, 3))
+    with pytest.raises(MeshFormatError, match="rows=2147483648"):
+        _checked_ids(rows, 3)
+    assert _checked_ids([[0, 1, 2]], many - 1).shape == (1, 3)
+
+
+def test_edge_key_is_lexicographic_beyond_int32():
+    """Two int32 ids give the int64 key lo * 2^32 + hi, never a wrapped
+    product like the a * nv + b it replaces."""
+    lo = np.array([2 ** 31 - 2, 0, 5], dtype=np.int32)
+    hi = np.array([2 ** 31 - 1, 2 ** 31 - 1, 6], dtype=np.int32)
+    key = _edge_key(lo, hi)
+    assert key.dtype == np.int64
+    assert key.tolist() == [(2 ** 31 - 2) * 2 ** 32 + 2 ** 31 - 1,
+                            2 ** 31 - 1, 5 * 2 ** 32 + 6]
+    assert lo.dtype == np.int32 and lo[0] == 2 ** 31 - 2
 
 
 @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])

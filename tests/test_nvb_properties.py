@@ -1,9 +1,10 @@
 """Property tests of newest-vertex bisection over random marked-edge sets at
 random depths on the three benchmark meshes, and of what rides on it: the
-edge tables a refinement merges from its parent, the live positions that
-edge_tri and ancestor_map give, the load data a source carries from mesh
-to mesh, the exact transfer of RT and P0 fields to a refinement, and the
-elementwise conservation of the solve."""
+id tables and their dtypes against a plain-Python oracle, the edge tables
+a refinement merges from its parent, the live positions that edge_tri and
+ancestor_map give, the load data a source carries from mesh to mesh, the
+exact transfer of RT and P0 fields to a refinement, and the elementwise
+conservation of the solve."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from amfem.adapt import _combinatorial_check
 from amfem.assembly import ProblemSpec, solve_poisson
 from amfem.fespace import DofVector, RTSpace, div_matrix, prolongate, rt_affine
-from amfem.mesh import (Mesh, ancestor_map, load_mesh, refine_edges,
-                        save_mesh, uniform_refine)
+from amfem.mesh import (Mesh, _edge_key, ancestor_map, load_mesh,
+                        refine_edges, save_mesh, uniform_refine)
 from amfem.sources import FunctionSource, P0Source
 from amfem.verify import benchmark, unit_square_mesh
 
@@ -39,8 +40,8 @@ def nested_meshes(draw):
     return coarse, fine
 
 
-def edge_keys(mesh, nv):
-    return mesh.edge_verts[:, 0] * nv + mesh.edge_verts[:, 1]
+def edge_keys(mesh):
+    return _edge_key(mesh.edge_verts[:, 0], mesh.edge_verts[:, 1])
 
 
 def boundary_length(mesh):
@@ -65,8 +66,8 @@ def assert_refinement(coarse, fine, marked, bisected):
                       rtol=1e-13)
     assert np.isclose(fine.tri_area.sum(), coarse.domain_area, rtol=1e-12)
     # every marked edge is gone
-    keys = edge_keys(coarse, fine.nv)[marked]
-    assert not np.isin(keys, edge_keys(fine, fine.nv)).any()
+    keys = edge_keys(coarse)[marked]
+    assert not np.isin(keys, edge_keys(fine)).any()
     # append-only genealogy: two rows per bisection, coarse rows a prefix
     n = len(coarse.tri_verts)
     assert len(fine.tri_verts) == n + 2 * len(bisected)
@@ -112,6 +113,62 @@ def test_edge_tri_and_ancestor_map_give_live_positions(meshes, reload, data):
         assert np.array_equal(mesh.edge_tri[mesh.tri_edge, side], pos)
     anc = ancestor_map(fine, coarse)
     assert anc.min() >= 0 and anc.max() < coarse.nt
+
+
+# every id table is int32, the local indices int8
+ID_DTYPES = {"tri_verts": np.int32, "tri_parent": np.int32,
+             "tri_gen": np.int32, "live": np.int32, "live_pos": np.int32,
+             "edge_verts": np.int32, "edge_tri": np.int32,
+             "tri_edge": np.int32, "tri_refedge": np.int8,
+             "tri_sign": np.int8}
+
+
+def table_oracle(mesh):
+    """The id tables of ``mesh`` built in plain Python from its live rows:
+    the edges as the sorted set of vertex pairs, each triangle's edges by
+    lookup, and each edge's two triangles by the direction they walk it."""
+    live = [t for t in range(len(mesh.alive)) if mesh.alive[t]]
+    live_pos = [-1] * len(mesh.alive)
+    for p, t in enumerate(live):
+        live_pos[t] = p
+    # local edge i is walked (v[i+1], v[i+2]) counterclockwise
+    walks = [[(int(v[(i + 1) % 3]), int(v[(i + 2) % 3])) for i in range(3)]
+             for v in (mesh.tri_verts[t] for t in live)]
+    edges = sorted({(min(a, b), max(a, b)) for w in walks for a, b in w})
+    eid = {e: i for i, e in enumerate(edges)}
+    tri_edge = [[eid[min(a, b), max(a, b)] for a, b in w] for w in walks]
+    edge_tri = [[-1, -1] for _ in edges]
+    for p, w in enumerate(walks):
+        for (a, b), e in zip(w, tri_edge[p]):
+            edge_tri[e][0 if a < b else 1] = p
+    return {"live": live, "live_pos": live_pos, "edge_verts": edges,
+            "tri_edge": tri_edge,
+            "tri_sign": [[1 if a < b else -1 for a, b in w] for w in walks],
+            "edge_tri": edge_tri}
+
+
+def assert_tables_like_oracle(mesh):
+    for name, want in table_oracle(mesh).items():
+        assert np.array_equal(getattr(mesh, name), want), name
+    for name, dtype in ID_DTYPES.items():
+        assert getattr(mesh, name).dtype == dtype, name
+
+
+@settings(max_examples=25, deadline=None)
+@given(meshes=nested_meshes(), reload=st.booleans(), data=st.data())
+def test_id_tables_equal_a_python_oracle(meshes, reload, data):
+    """Every id table of a loaded, a refined and a uniformly refined mesh
+    equals the oracle and has its dtype, with and without a save/load
+    round trip first; so do the bisected rows and the ancestor map."""
+    coarse, fine = meshes
+    if reload:
+        coarse = load_mesh(save_mesh(coarse))
+        fine = refine_edges(coarse, data.draw(marked_edges(coarse)))[0]
+    finer, bisected = refine_edges(fine, data.draw(marked_edges(fine)))
+    for mesh in (coarse, fine, finer, uniform_refine(fine, 1)):
+        assert_tables_like_oracle(mesh)
+    assert bisected.dtype == np.int32
+    assert ancestor_map(finer, coarse).dtype == np.int32
 
 
 TABLES = ("edge_verts", "edge_tri", "edge_boundary", "edge_len", "tri_edge",
